@@ -12,7 +12,7 @@ Example:
 import argparse
 import math
 
-from modkit.cli import ising_partition
+from modkit.ising import ising_partition
 
 
 def main() -> None:

@@ -18,13 +18,14 @@ from .chiral_analysis import (GlobalIndices, YClosureError,
                               lr_counting, product_system,
                               verify_extension)
 from .fusion_core import (DegenerateFusionError, FusionSystem,
-                          global_index, make_fusion_system,
-                          quantum_dimensions, verify_fusion_axioms)
+                          global_index, is_permutation_matrix,
+                          make_fusion_system, quantum_dimensions,
+                          verify_fusion_axioms)
 from .invariant_enum import (BudgetExceededError, EnumerationError,
                              EnumerationResult, build_records,
                              enumerate_invariants, free_cells,
-                             is_permutation_matrix, matrix_stats,
-                             twist_factor, twist_classes, type_I_factor)
+                             matrix_stats, twist_factor, twist_classes,
+                             type_I_factor)
 from .kostant import (CertificationError, KostantPolynomial,
                       KostantSeries, McKayGraphError, find_rs,
                       kostant_poly, kostant_suite, mckay_series,
@@ -45,11 +46,11 @@ __all__ = [
     "commutant_check", "degenerate_invariant", "global_indices",
     "lr_counting", "product_system", "verify_extension",
     "DegenerateFusionError", "FusionSystem", "global_index",
-    "make_fusion_system", "quantum_dimensions", "verify_fusion_axioms",
+    "is_permutation_matrix", "make_fusion_system", "quantum_dimensions",
+    "verify_fusion_axioms",
     "BudgetExceededError", "EnumerationError", "EnumerationResult",
     "build_records", "enumerate_invariants", "free_cells",
-    "is_permutation_matrix", "matrix_stats", "twist_factor",
-    "twist_classes", "type_I_factor",
+    "matrix_stats", "twist_factor", "twist_classes", "type_I_factor",
     "CertificationError", "KostantPolynomial", "KostantSeries",
     "McKayGraphError", "find_rs", "kostant_poly", "kostant_suite",
     "mckay_series", "nimrep_match", "verify_series",

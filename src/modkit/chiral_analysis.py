@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion_core import FusionSystem, make_fusion_system, normalize_twist
-from .modular_data import ModularData, build_Y, degenerate_sectors
+from .modular_data import (ModularData, build_Y, degenerate_sectors,
+                           twist_phases)
 from .reports import Check, Report
 
 __all__ = [
@@ -101,7 +102,7 @@ def chiral_norm_check(system, Z: np.ndarray, tol: float = 1e-6) -> Report:
     if not _omega_support_ok(F, Z):
         raise ValueError("Z does not commute with Omega; precondition failed")
     Y = build_Y(F)
-    omega = np.array([np.exp(2j * np.pi * float(t)) for t in F.twists])
+    omega = twist_phases(F)
     deg = degenerate_sectors(F, tol=tol)
     d = F.d
     w = F.w
@@ -126,7 +127,7 @@ def commutant_check(system, Z: np.ndarray, tol: float = 1e-8) -> Report:
     F = _system_of(system)
     Z = np.asarray(Z).astype(float)
     Y = build_Y(F)
-    omega = np.array([np.exp(2j * np.pi * float(t)) for t in F.twists])
+    omega = twist_phases(F)
     res_y = float(np.max(np.abs(Y @ Z - Z @ Y)))
     res_omega = float(np.max(np.abs(omega[:, None] * Z - Z * omega[None, :])))
     deg = degenerate_sectors(F)

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .acceptance import render_lines, run_all
 from .catalog import ade_graph, gen_su2, graph_meta, list_catalog
 from .chiral_analysis import (chiral_norm_check, commutant_check,
                               degenerate_invariant, global_indices,
@@ -25,63 +26,15 @@ from .fileio import (catalog_dict, dumps_canonical, graph_dict,
                      save_invariant_catalog)
 from .invariant_enum import (build_records, enumerate_invariants,
                              matrix_stats, type_I_factor)
+# ising_partition is re-exported: perfbench imports it from this module
+from .ising import BOND_CONVENTION, ising_partition
 from .kostant import format_poly, kostant_suite
 from .modular_data import modular_data, verify_modular, verlinde_check
 from .nimrep import NimrepBuildError, build_nimrep_su2, spectrum_check, \
     verify_nimrep
 from .reports import Report
 
-__all__ = ["ising_partition", "main"]
-
-ISING_GUARD = 24
-
-BOND_CONVENTION = (
-    "Bonds are the shift edges (i,j)-(i+1,j) and (i,j)-(i,j+1) with both "
-    "indices periodic, so widths 1 and 2 pick up self and doubled bonds. "
-    "The transfer matrix couples consecutive rows and attaches each row's "
-    "horizontal bonds to the arriving row (row-to-row convention); the "
-    "torus trace is independent of that split.")
-
-
-def ising_partition(M: int, N: int, beta: float,
-                    coupling: float = 1.0) -> tuple[float, float]:
-    """Partition function of the Ising model on the M x N torus, twice.
-
-    Returns (Z_brute, Z_trace): the configuration sum over all 2^(M*N)
-    spin assignments, and trace(T^N) for the 2^M x 2^M row-to-row
-    transfer matrix.  Energy is -coupling * sum over bonds of s s'; see
-    BOND_CONVENTION for the exact bond multiset.
-    """
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be >= 1")
-    if M * N > ISING_GUARD:
-        raise ValueError(f"M*N = {M * N} exceeds the brute-force guard "
-                         f"of {ISING_GUARD}")
-    bJ = float(beta) * float(coupling)
-    sites = M * N
-
-    z_brute = 0.0
-    step = 1 << min(sites, 18)
-    shifts = np.arange(sites, dtype=np.int64)
-    for start in range(0, 1 << sites, step):
-        codes = np.arange(start, min(start + step, 1 << sites),
-                          dtype=np.int64)
-        spins = (((codes[:, None] >> shifts[None, :]) & 1) * 2 - 1)
-        spins = spins.reshape(-1, M, N).astype(np.int64)
-        bonds = ((spins * np.roll(spins, -1, axis=1)).sum(axis=(1, 2))
-                 + (spins * np.roll(spins, -1, axis=2)).sum(axis=(1, 2)))
-        z_brute += float(np.exp(bJ * bonds).sum())
-
-    states = ((np.arange(1 << M)[:, None] >> np.arange(M)[None, :]) & 1)
-    states = (states * 2 - 1).astype(np.float64)
-    horiz = np.exp(bJ * (states * np.roll(states, -1, axis=1)).sum(axis=1))
-    if N == 1:
-        # diagonal of T without materialising it: s . s = M on the diagonal
-        z_trace = float(np.exp(bJ * M) * horiz.sum())
-    else:
-        T = np.exp(bJ * (states @ states.T)) * horiz[None, :]
-        z_trace = float(np.trace(np.linalg.matrix_power(T, N)))
-    return z_brute, z_trace
+__all__ = ["main"]
 
 
 def _report_obj(rep: Report) -> dict:
@@ -336,7 +289,6 @@ def _cmd_ising(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    from .acceptance import render_lines, run_all
     results = run_all()
     lines = render_lines(results)
     for line in lines:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import Graph
 from .fusion_core import FusionSystem, make_fusion_system
-from .modular_data import ModularData
+from .modular_data import ModularData, _assemble
 
 FORMAT_VERSION = 1
 
@@ -109,23 +109,13 @@ def save_modular_data(md: ModularData, path: str) -> None:
 
 
 def load_modular_data(path: str) -> ModularData:
-    import cmath
-    import math
-
-    from .modular_data import _snap_c
-
     obj = _read(path, "modular-data")
     obj2 = dict(obj)
     obj2["format"] = "fusion-system"
     F = fusion_system_from_dict(obj2)
     S = np.array(obj["S_re"]) + 1j * np.array(obj["S_im"])
     z = complex(obj["z"][0], obj["z"][1])
-    c = float(obj["c"])
-    omega = np.array([cmath.exp(2j * math.pi * float(t)) for t in F.twists])
-    T = cmath.exp(-1j * math.pi * c / 12.0) * np.diag(omega)
-    S.setflags(write=False)
-    T.setflags(write=False)
-    return ModularData(system=F, S=S, T=T, z=z, c=c, c_rational=_snap_c(c))
+    return _assemble(F, S, z, float(obj["c"]))
 
 
 def graph_dict(g: Graph) -> dict:

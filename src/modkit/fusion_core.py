@@ -43,13 +43,6 @@ class FusionSystem:
     def n(self) -> int:
         return len(self.labels)
 
-    def fusion_matrix(self, a: int) -> np.ndarray:
-        """(N_a)[b, c] = N[a, b, c]."""
-        return self.N[a]
-
-    def with_twists(self, twists) -> "FusionSystem":
-        return make_fusion_system(self.labels, self.N, self.conj, twists)
-
 
 def normalize_twist(t) -> Fraction:
     """Reduce a rational statistics phase into [0, 1)."""
@@ -133,6 +126,15 @@ def quantum_dimensions(N, tol=1e-10, residual_tol=1e-14, max_iter=200_000) -> np
                 f"no common Perron-Frobenius eigenvector: N_{a} residual {resid:.3e}"
             )
     return d
+
+
+def is_permutation_matrix(Z: np.ndarray) -> bool:
+    """Square, entries 0 or 1, exactly one 1 in every row and column."""
+    Z = np.asarray(Z)
+    return (Z.shape[0] == Z.shape[1]
+            and bool(np.all((Z == 0) | (Z == 1)))
+            and bool(np.all(Z.sum(axis=0) == 1))
+            and bool(np.all(Z.sum(axis=1) == 1)))
 
 
 def global_index(F: FusionSystem) -> float:

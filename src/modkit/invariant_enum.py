@@ -30,12 +30,13 @@ than returning a silently truncated list.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .fusion_core import FusionSystem
+from .fusion_core import FusionSystem, is_permutation_matrix
 from .modular_data import ModularData, modular_data_mp
 
 __all__ = [
@@ -44,10 +45,10 @@ __all__ = [
     "EnumerationResult",
     "free_cells",
     "twist_classes",
+    "commutant_equations",
     "commutant_basis",
     "enumerate_invariants",
     "matrix_stats",
-    "is_permutation_matrix",
     "type_I_factor",
     "twist_factor",
     "build_records",
@@ -91,6 +92,18 @@ def free_cells(F: FusionSystem) -> list[tuple[int, int]]:
     cells = [(a, b) for cls in classes for a in cls for b in cls]
     cells.sort()
     return cells
+
+
+def commutant_equations(S: np.ndarray,
+                        cells: list[tuple[int, int]]) -> np.ndarray:
+    """Complex (n^2, m) matrix whose column for cell (a, b) is the
+    row-major ravel of S E_ab - E_ab S, so A @ Z[cells] ravels S Z - Z S."""
+    n = S.shape[0]
+    A = np.zeros((n, n, len(cells)), dtype=complex)
+    for col, (a, b) in enumerate(cells):
+        A[:, b, col] += S[:, a]           # S E_ab
+        A[a, :, col] -= S[b, :]           # E_ab S
+    return A.reshape(n * n, len(cells))
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
@@ -174,18 +187,9 @@ def commutant_basis(md: ModularData):
     supported on the free cells are exactly Z[cells] = C @ p with p the
     values at the pivot cells.  mode says whether C is exactly rational."""
     F = md.system
-    S = md.S
-    n = F.n
     cells = free_cells(F)
-    m = len(cells)
-    A = np.zeros((2 * n * n, m))
-    for col, (a, b) in enumerate(cells):
-        Mc = np.zeros((n, n), dtype=complex)
-        Mc[:, b] += S[:, a]               # S E_ab
-        Mc[a, :] -= S[b, :]               # E_ab S
-        A[: n * n, col] = Mc.real.ravel()
-        A[n * n:, col] = Mc.imag.ravel()
-    V = _nullspace(A)
+    A = commutant_equations(md.S, cells)
+    V = _nullspace(np.vstack([A.real, A.imag]))
     d = F.d
     bounds = np.array([np.floor(d[a] * d[b] + 1e-9) for a, b in cells])
     pivots = _select_pivots(V, cells, bounds)
@@ -323,14 +327,6 @@ def matrix_stats(Z: np.ndarray) -> dict:
     }
 
 
-def is_permutation_matrix(Z: np.ndarray) -> bool:
-    Z = np.asarray(Z)
-    return (Z.shape[0] == Z.shape[1]
-            and bool(np.all((Z == 0) | (Z == 1)))
-            and bool(np.all(Z.sum(axis=0) == 1))
-            and bool(np.all(Z.sum(axis=1) == 1)))
-
-
 def _first_support(v: np.ndarray) -> int:
     nz = np.nonzero(v)[0]
     return int(nz[0]) if len(nz) else len(v)
@@ -367,29 +363,20 @@ def type_I_factor(Z: np.ndarray) -> np.ndarray | None:
             caps = np.minimum(sq, R[s] // vs)
             v = np.zeros(n, dtype=np.int64)
             v[s] = vs
-
-            def fill(a: int) -> bool:
-                if a == n:
-                    if prev is not None and s == prev_s:
-                        if tuple(v) > tuple(prev):
-                            return False  # keep rows non-increasing
-                    R2 = R - np.outer(v, v)
-                    if (R2 < 0).any():
-                        return False
-                    rows.append(v.copy())
-                    if search(R2, v.copy(), s):
-                        return True
-                    rows.pop()
-                    return False
-                for va in range(caps[a] + 1):
-                    v[a] = va
-                    if fill(a + 1):
-                        return True
-                v[a] = 0
-                return False
-
-            if fill(s + 1):
-                return True
+            # entries after s in lexicographic order, the first slowest
+            ranges = (range(c + 1) for c in caps[s + 1:])
+            for tail in itertools.product(*ranges):
+                v[s + 1:] = tail
+                if (prev is not None and s == prev_s
+                        and tuple(v) > tuple(prev)):
+                    continue              # keep rows non-increasing
+                R2 = R - np.outer(v, v)
+                if (R2 < 0).any():
+                    continue
+                rows.append(v.copy())
+                if search(R2, v.copy(), s):
+                    return True
+                rows.pop()
         return False
 
     if dead(Z):

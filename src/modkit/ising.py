@@ -1,0 +1,63 @@
+"""Ising model on the M x N torus: configuration sum against transfer trace.
+
+The partition function is evaluated twice, once as the sum over all
+2^(M*N) spin configurations and once as trace(T^N) for the row-to-row
+transfer matrix, so each evaluation checks the other.  The brute-force
+sum is guarded to M*N <= ISING_GUARD sites.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["BOND_CONVENTION", "ISING_GUARD", "ising_partition"]
+
+ISING_GUARD = 24
+
+BOND_CONVENTION = (
+    "Bonds are the shift edges (i,j)-(i+1,j) and (i,j)-(i,j+1) with both "
+    "indices periodic, so widths 1 and 2 pick up self and doubled bonds. "
+    "The transfer matrix couples consecutive rows and attaches each row's "
+    "horizontal bonds to the arriving row (row-to-row convention); the "
+    "torus trace is independent of that split.")
+
+
+def ising_partition(M: int, N: int, beta: float,
+                    coupling: float = 1.0) -> tuple[float, float]:
+    """Partition function of the Ising model on the M x N torus, twice.
+
+    Returns (Z_brute, Z_trace): the configuration sum over all 2^(M*N)
+    spin assignments, and trace(T^N) for the 2^M x 2^M row-to-row
+    transfer matrix.  Energy is -coupling * sum over bonds of s s'; see
+    BOND_CONVENTION for the exact bond multiset.
+    """
+    if M < 1 or N < 1:
+        raise ValueError("M and N must be >= 1")
+    if M * N > ISING_GUARD:
+        raise ValueError(f"M*N = {M * N} exceeds the brute-force guard "
+                         f"of {ISING_GUARD}")
+    bJ = float(beta) * float(coupling)
+    sites = M * N
+
+    z_brute = 0.0
+    step = 1 << min(sites, 18)
+    shifts = np.arange(sites, dtype=np.int64)
+    for start in range(0, 1 << sites, step):
+        codes = np.arange(start, min(start + step, 1 << sites),
+                          dtype=np.int64)
+        spins = (((codes[:, None] >> shifts[None, :]) & 1) * 2 - 1)
+        spins = spins.reshape(-1, M, N).astype(np.int64)
+        bonds = ((spins * np.roll(spins, -1, axis=1)).sum(axis=(1, 2))
+                 + (spins * np.roll(spins, -1, axis=2)).sum(axis=(1, 2)))
+        z_brute += float(np.exp(bJ * bonds).sum())
+
+    states = ((np.arange(1 << M)[:, None] >> np.arange(M)[None, :]) & 1)
+    states = (states * 2 - 1).astype(np.float64)
+    horiz = np.exp(bJ * (states * np.roll(states, -1, axis=1)).sum(axis=1))
+    if N == 1:
+        # diagonal of T without materialising it: s . s = M on the diagonal
+        z_trace = float(np.exp(bJ * M) * horiz.sum())
+    else:
+        T = np.exp(bJ * (states @ states.T)) * horiz[None, :]
+        z_trace = float(np.trace(np.linalg.matrix_power(T, N)))
+    return z_brute, z_trace

@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .fusion_core import FusionSystem
+from .fusion_core import FusionSystem, is_permutation_matrix
 from .reports import Check, Report
 
 __all__ = [
@@ -71,18 +71,9 @@ def twist_phases(F: FusionSystem) -> np.ndarray:
     return np.array([cmath.exp(2j * math.pi * float(t)) for t in F.twists])
 
 
-def build_Y(F: FusionSystem, convention: str = "product") -> np.ndarray:
-    """Unnormalised Y matrix.
-
-    convention "product" puts omega_l omega_m / omega_r inside the fusion
-    sum; "inverse" uses the reciprocal phase and yields conj(Y).  The two
-    appear interchangeably in the literature, so the choice is explicit.
-    """
+def build_Y(F: FusionSystem) -> np.ndarray:
+    """Unnormalised Y: omega_l omega_m / omega_r inside the fusion sum."""
     omega = twist_phases(F)
-    if convention == "inverse":
-        omega = np.conj(omega)
-    elif convention != "product":
-        raise ValueError(f"unknown phase convention {convention!r}")
     weighted = F.N @ (F.d / omega)        # sum_r N[l, m, r] d_r / omega_r
     Y = omega[:, None] * omega[None, :] * weighted
     Y.setflags(write=False)
@@ -111,7 +102,7 @@ class ModularData:
 
     c is the principal central charge in (-4, 4]; c_rational is its
     continued-fraction snap when that is exact to 1e-9 (always, for the
-    built-in systems).  Y = |z| S has the quantum dimensions as row 0.
+    built-in systems).
     """
 
     system: FusionSystem
@@ -126,32 +117,24 @@ class ModularData:
         return self.system.n
 
     @property
-    def Y(self) -> np.ndarray:
-        return abs(self.z) * self.S
-
-    @property
-    def omega(self) -> np.ndarray:
-        return twist_phases(self.system)
-
-    @property
     def c_mod8(self) -> float:
         return self.c % 8.0
 
 
-def modular_data(F: FusionSystem, convention: str = "product") -> ModularData:
-    """Compute (S, T) from fusion coefficients, dimensions and twists."""
-    z, c = central_charge(F)
-    if convention == "inverse":
-        z, c = z.conjugate(), -c
-    Y = build_Y(F, convention)
-    S = Y / abs(z)
-    omega = twist_phases(F)
-    if convention == "inverse":
-        omega = np.conj(omega)
-    T = cmath.exp(-1j * math.pi * c / 12.0) * np.diag(omega)
+def _assemble(F: FusionSystem, S: np.ndarray, z: complex,
+              c: float) -> ModularData:
+    """ModularData from S, z and c: T = exp(-i pi c / 12) diag(omega),
+    S and T read-only, c snapped to a rational."""
+    T = cmath.exp(-1j * math.pi * c / 12.0) * np.diag(twist_phases(F))
     S.setflags(write=False)
     T.setflags(write=False)
     return ModularData(system=F, S=S, T=T, z=z, c=c, c_rational=_snap_c(c))
+
+
+def modular_data(F: FusionSystem) -> ModularData:
+    """Compute (S, T) from fusion coefficients, dimensions and twists."""
+    z, c = central_charge(F)
+    return _assemble(F, build_Y(F) / abs(z), z, c)
 
 
 def conjugation_matrix(F: FusionSystem) -> np.ndarray:
@@ -194,8 +177,7 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
         "T S T S T = S")
     C_raw = S @ S
     C = np.rint(C_raw.real).astype(np.int64)
-    perm = (np.all((C == 0) | (C == 1)) and np.all(C.sum(axis=0) == 1)
-            and np.all(C.sum(axis=1) == 1))
+    perm = is_permutation_matrix(C)
     dev_c = float(np.max(np.abs(C_raw - C)))
     checks.append(Check("conjugation-permutation", bool(perm and dev_c <= tol),
                         f"max dev {dev_c:.3e}"))

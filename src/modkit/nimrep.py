@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Graph
-from .fusion_core import FusionSystem
+from .fusion_core import FusionSystem, is_permutation_matrix
 from .modular_data import ModularData
 from .reports import Check, Report
 
@@ -108,8 +108,7 @@ def verify_nimrep(nim: Nimrep, F: FusionSystem, tol: float = 1e-9) -> Report:
     checks.append(Check("representation", rep_dev == 0,
                         f"max deviation {rep_dev} (exact integers)"))
     top = G[k]
-    is_perm = (np.all((top == 0) | (top == 1))
-               and np.all(top.sum(axis=0) == 1) and np.all(top.sum(axis=1) == 1))
+    is_perm = is_permutation_matrix(top)
     involution = np.array_equal(top.T @ top, np.eye(nv, dtype=np.int64))
     checks.append(Check("top-permutation", bool(is_perm and involution),
                         "G_k is a permutation with G_k^T G_k = 1"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from modkit.fileio import (
     save_coupling_matrix,
     save_fusion_system,
 )
-from modkit.cli import ising_partition
+from modkit.ising import ising_partition
 
 from oracles import coupling_forms, ising_direct, ising_ring
 
@@ -68,6 +69,22 @@ def test_enum_machine_deterministic():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     json.loads(a.stdout)
+
+
+# sha256 of `modkit enum --level k --format machine`; the output holds
+# only integers and fixed header fields, so it is the same on every platform
+ENUM_MACHINE_SHA256 = {
+    16: "7d3d476ec2be7858e9c3b2eb690f51028e42c6614fb5a520eea2da6dcf39b1ef",
+    28: "c8f07cc689d2443001531301a1ecfaacd391c0fcb038f795d28cdab4bf4b0490",
+}
+
+
+@pytest.mark.parametrize("k", sorted(ENUM_MACHINE_SHA256))
+def test_enum_machine_golden_bytes(k):
+    p = run("enum", "--level", str(k), "--format", "machine")
+    assert p.returncode == 0
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        ENUM_MACHINE_SHA256[k]
 
 
 def test_nimrep_build_and_against(tmp_path):

@@ -119,6 +119,14 @@ def test_type_I_factorization_of_pair_block_form(enum):
     assert rows == [(0, 16), (2, 14), (4, 12), (6, 10), (8,), (8,)]
 
 
+def test_type_I_factor_beyond_recursion_depth():
+    # n = 57 labels: one Python frame per column overflowed the stack
+    for name, Z in coupling_forms(56).items():
+        b = type_I_factor(Z)
+        assert b is not None, name
+        assert np.array_equal(b.T @ b, Z), name
+
+
 def test_no_type_I_factor_for_height_18(enum):
     Z = coupling_forms(16)["height-18"]
     assert type_I_factor(Z) is None
