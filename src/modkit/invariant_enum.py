@@ -107,8 +107,14 @@ def commutant_equations(S: np.ndarray,
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
-    """Nullspace basis with a clean-gap requirement on singular values."""
-    _, sigma, Vt = np.linalg.svd(A, full_matrices=True)
+    """Nullspace basis with a clean-gap requirement on singular values.
+
+    A has many more rows than columns (2 n^2 against m free cells), so
+    the SVD runs on the m x m triangular factor R of A = Q R: it has the
+    singular values and the row space of A, and no 2 n^2 x 2 n^2 U is
+    ever built.
+    """
+    _, sigma, Vt = np.linalg.svd(np.linalg.qr(A, mode="r"))
     m = A.shape[1]
     smax = sigma[0] if len(sigma) else 0.0
     if smax == 0.0:
@@ -309,12 +315,29 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
 
 
 def _mp_residual(S_mp, Z: np.ndarray) -> float:
+    """max |S Z - Z S| over all n^2 entries, at MP_DPS digits.
+
+    Z has about n non-zeros, so the residual is summed from them alone:
+    Z[k, j] = v adds v S[:, k] to column j of S Z and v S[j, :] to row
+    k of Z S.
+    """
     import mpmath as mp
 
     n = Z.shape[0]
-    Zm = mp.matrix(Z.tolist())
-    R = S_mp * Zm - Zm * S_mp
-    return float(max(abs(R[i, j]) for i in range(n) for j in range(n)))
+    rows = S_mp.tolist()
+    cols = [list(c) for c in zip(*rows)]
+    with mp.workdps(MP_DPS):
+        R = [[mp.mpc(0)] * n for _ in range(n)]
+        for k, j in zip(*np.nonzero(Z)):
+            v = int(Z[k, j])
+            col, row = cols[k], rows[j]
+            if v != 1:
+                col, row = [v * x for x in col], [v * x for x in row]
+            Rk = R[k]
+            for i in range(n):
+                R[i][j] += col[i]
+                Rk[i] -= row[i]
+        return float(max(abs(x) for x in itertools.chain(*R)))
 
 
 def matrix_stats(Z: np.ndarray) -> dict:

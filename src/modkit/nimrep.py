@@ -114,7 +114,7 @@ def verify_nimrep(nim: Nimrep, F: FusionSystem, tol: float = 1e-9) -> Report:
                         "G_k is a permutation with G_k^T G_k = 1"))
     pf = float(np.linalg.eigvalsh(nim.graph.adjacency.astype(float))[-1])
     want_pf = 2.0 * np.cos(np.pi / (k + 2))
-    checks.append(Check("pf-eigenvalue", abs(pf - want_pf) <= tol,
+    checks.append(Check("pf-eigenvalue", bool(abs(pf - want_pf) <= tol),
                         f"|adjacency PF {pf:.12f} - 2cos(pi/{k + 2})| "
                         f"= {abs(pf - want_pf):.3e}"))
     return Report(title=f"nimrep axioms ({nim.graph.name} at level {k})",

@@ -27,6 +27,18 @@ def su2_sine_smatrix(k: int) -> np.ndarray:
     return np.sqrt(2.0 / kappa) * np.sin(np.pi * np.outer(a, a) / kappa)
 
 
+def su2_sine_smatrix_mp(k: int, dps: int = 50):
+    """The same closed form as su2_sine_smatrix, as mpmath values at
+    `dps` digits (a list of rows)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        kappa = k + 2
+        c = mp.sqrt(mp.mpf(2) / kappa)
+        return [[c * mp.sin(mp.pi * (a + 1) * (b + 1) / kappa)
+                 for b in range(k + 1)] for a in range(k + 1)]
+
+
 def su2_twist_fractions(k: int) -> list[Fraction]:
     """t_a = a(a+2) / (4(k+2)) reduced mod 1."""
     return [Fraction(a * (a + 2), 4 * (k + 2)) % 1 for a in range(k + 1)]

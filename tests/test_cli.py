@@ -76,6 +76,8 @@ def test_enum_machine_deterministic():
 ENUM_MACHINE_SHA256 = {
     16: "7d3d476ec2be7858e9c3b2eb690f51028e42c6614fb5a520eea2da6dcf39b1ef",
     28: "c8f07cc689d2443001531301a1ecfaacd391c0fcb038f795d28cdab4bf4b0490",
+    42: "4c7fc5381bfbbdaaa5c889e862db5c42cc69eb9d00357aef13b4568177b62796",
+    56: "9043b26078629288a8c8af64aae919794b34c299852c8530789971f02603494b",
 }
 
 
@@ -95,6 +97,12 @@ def test_nimrep_build_and_against(tmp_path):
     assert p.returncode == 0
     assert "G_1" in p.stdout
     assert "[FAIL]" not in p.stdout
+
+
+def test_nimrep_machine_output_is_json():
+    p = run("nimrep", "--graph", "E7", "--level", "16", "--format", "machine")
+    assert p.returncode == 0, p.stderr
+    json.loads(p.stdout)
 
 
 def test_nimrep_wrong_level_fails():

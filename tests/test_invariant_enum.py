@@ -1,11 +1,18 @@
+import tracemalloc
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modkit.catalog import gen_su2
+from modkit.chiral_analysis import product_system
 from modkit.invariant_enum import (
+    MP_DPS,
+    MP_TOL,
     BudgetExceededError,
+    _mp_residual,
     build_records,
     commutant_basis,
     enumerate_invariants,
@@ -16,7 +23,7 @@ from modkit.invariant_enum import (
     type_I_factor,
     twist_factor,
 )
-from modkit.modular_data import modular_data
+from modkit.modular_data import modular_data, modular_data_mp
 
 from oracles import brute_force_invariants, coupling_forms
 
@@ -91,6 +98,46 @@ def test_commutant_basis_determines_free_cells(enum, md):
             for b in range(17):
                 if (a, b) not in free:
                     assert Z[a, b] == 0
+
+
+def test_commutant_basis_memory():
+    # the stacked equation matrix of su(2)_56 is 6498 x 85 (4.4 MB); a
+    # 6498 x 6498 matrix of left singular vectors alone would take 338 MB
+    m = modular_data(gen_su2(56))
+    tracemalloc.start()
+    try:
+        commutant_basis(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def _dense_mp_residual(S_mp, Z):
+    """max |S Z - Z S| by dense mpmath products, the reference for the
+    sparse certificate."""
+    n = Z.shape[0]
+    with mp.workdps(MP_DPS):
+        Zm = mp.matrix(Z.tolist())
+        R = S_mp * Zm - Zm * S_mp
+        return float(max(abs(R[i, j]) for i in range(n) for j in range(n)))
+
+
+@pytest.mark.parametrize("system", ["su2:10", "su2:2xsu2:3"])
+def test_mp_residual_matches_dense(system):
+    F = (gen_su2(10) if system == "su2:10"
+         else product_system(gen_su2(2), gen_su2(3)))
+    result = enumerate_invariants(modular_data(F))
+    S_mp = modular_data_mp(F, dps=MP_DPS)[0]
+    for Z in result.invariants:
+        got = _mp_residual(S_mp, Z)
+        assert abs(got - _dense_mp_residual(S_mp, Z)) < 1e-35
+        assert got < 1e-35
+    Z = np.eye(F.n, dtype=np.int64)
+    Z[0, 1] += 1                          # commutes with neither S nor T
+    got = _mp_residual(S_mp, Z)
+    assert abs(got - _dense_mp_residual(S_mp, Z)) < 1e-35
+    assert got > 1e3 * MP_TOL
 
 
 def test_permutation_detection(enum):

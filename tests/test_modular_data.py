@@ -20,7 +20,7 @@ from modkit.modular_data import (
     verlinde_fusion,
 )
 
-from oracles import su2_central_charge, su2_sine_smatrix
+from oracles import su2_central_charge, su2_sine_smatrix, su2_sine_smatrix_mp
 
 LEVELS = (2, 4, 10, 16, 28)
 
@@ -94,6 +94,20 @@ def test_high_precision_agrees(md):
     S = np.array([[complex(S_mp[i, j]) for j in range(n)] for i in range(n)])
     assert np.max(np.abs(S - m.S)) < 1e-12
     assert abs(complex(z_mp) - m.z) < 1e-12
+
+
+@pytest.mark.parametrize("k", [16, 40])
+def test_high_precision_matches_sine_closed_form(k):
+    # 40-digit S against the closed form at 50 digits checks the digits
+    # beyond float precision, which the 1e-12 test above cannot see
+    import mpmath as mp
+
+    S_mp, _, _ = modular_data_mp(gen_su2(k), dps=40)
+    want = su2_sine_smatrix_mp(k)
+    with mp.workdps(50):
+        dev = max(abs(S_mp[a, b] - want[a][b])
+                  for a in range(k + 1) for b in range(k + 1))
+    assert dev < 1e-35
 
 
 def test_cyclic_nondegenerate_charges():
