@@ -18,7 +18,7 @@ from .chiral_analysis import (GlobalIndices, YClosureError,
                               lr_counting, product_system,
                               verify_extension)
 from .fusion_core import (DegenerateFusionError, FusionSystem,
-                          global_index, is_permutation_matrix,
+                          is_permutation_matrix,
                           make_fusion_system, quantum_dimensions,
                           verify_fusion_axioms)
 from .invariant_enum import (BudgetExceededError, EnumerationError,
@@ -45,7 +45,7 @@ __all__ = [
     "GlobalIndices", "YClosureError", "chiral_norm_check",
     "commutant_check", "degenerate_invariant", "global_indices",
     "lr_counting", "product_system", "verify_extension",
-    "DegenerateFusionError", "FusionSystem", "global_index",
+    "DegenerateFusionError", "FusionSystem",
     "is_permutation_matrix", "make_fusion_system", "quantum_dimensions",
     "verify_fusion_axioms",
     "BudgetExceededError", "EnumerationError", "EnumerationResult",

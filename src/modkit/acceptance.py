@@ -94,13 +94,6 @@ def _z_d_even(k: int) -> np.ndarray:
     return Z
 
 
-def _z_d_odd(k: int) -> np.ndarray:
-    Z = np.zeros((k + 1, k + 1), dtype=np.int64)
-    for lam in range(k + 1):
-        Z[lam, lam if lam % 2 == 0 else k - lam] = 1
-    return Z
-
-
 def _z_e6() -> np.ndarray:
     return _z_blocks(10, [(0, 6), (3, 7), (4, 10)])
 

@@ -20,9 +20,9 @@ and zero outside Gamma, then certifies Omega- and Y-commutation and the
 closure assumption that Y rows outside Gamma pair to zero with the
 vacuum column over Gamma.
 
-All operations accept either a FusionSystem with twists or a full
-ModularData; only Y and Omega are ever needed, so fully degenerate
-systems (where S does not exist) are first-class inputs.
+The checks and the construction take a FusionSystem with twists: they
+need only Y and Omega, so fully degenerate systems (where S does not
+exist) are first-class inputs.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ __all__ = [
 class YClosureError(RuntimeError):
     """Gamma is not Y-closed: a row outside Gamma pairs non-trivially
     with the vacuum column over Gamma."""
-
-
-def _system_of(x) -> FusionSystem:
-    return x.system if isinstance(x, ModularData) else x
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,8 @@ def _omega_support_ok(F: FusionSystem, Z: np.ndarray) -> bool:
     return all(F.twists[a] == F.twists[b] for a, b in zip(rows, cols))
 
 
-def chiral_norm_check(system, Z: np.ndarray, tol: float = 1e-6) -> Report:
+def chiral_norm_check(F: FusionSystem, Z: np.ndarray,
+                      tol: float = 1e-6) -> Report:
     """Vacuum-coupled norm sums against the degenerate-sector prediction.
 
     A = sum Y[0,l] Y[l,m] Z[m,0] and B likewise with Z[0,m] must both
@@ -97,7 +94,6 @@ def chiral_norm_check(system, Z: np.ndarray, tol: float = 1e-6) -> Report:
     C = sum d_l (omega_l^-1 omega_m) Z[l,m] d_m must equal d^T Z d since
     Z is supported where the twists agree.
     """
-    F = _system_of(system)
     Z = np.asarray(Z)
     if not _omega_support_ok(F, Z):
         raise ValueError("Z does not commute with Omega; precondition failed")
@@ -122,9 +118,9 @@ def chiral_norm_check(system, Z: np.ndarray, tol: float = 1e-6) -> Report:
     return Report(title=f"chiral norms (n={F.n})", checks=checks)
 
 
-def commutant_check(system, Z: np.ndarray, tol: float = 1e-8) -> Report:
-    """Residuals of Z against Y and Omega plus the degenerate-sum bound."""
-    F = _system_of(system)
+def commutant_check(F: FusionSystem, Z: np.ndarray) -> Report:
+    """Residuals of Z against Y and Omega (to 1e-8) plus the
+    degenerate-sum bound."""
     Z = np.asarray(Z).astype(float)
     Y = build_Y(F)
     omega = twist_phases(F)
@@ -134,8 +130,8 @@ def commutant_check(system, Z: np.ndarray, tol: float = 1e-8) -> Report:
     lhs = float(sum(F.d[lam] * Z[lam, 0] for lam in deg))
     rhs = float(F.d @ Z @ F.d) / F.w      # w / w_alpha
     checks = (
-        Check("y-commutant", res_y <= tol, f"max residual {res_y:.3e}"),
-        Check("omega-commutant", res_omega <= tol,
+        Check("y-commutant", res_y <= 1e-8, f"max residual {res_y:.3e}"),
+        Check("omega-commutant", res_omega <= 1e-8,
               f"max residual {res_omega:.3e}"),
         Check("degenerate-bound", lhs <= rhs + 1e-9,
               f"deg-sum = {lhs:.6f} <= w/w_alpha = {rhs:.6f}"),
@@ -143,12 +139,13 @@ def commutant_check(system, Z: np.ndarray, tol: float = 1e-8) -> Report:
     return Report(title=f"commutant residuals (n={F.n})", checks=checks)
 
 
-def lr_counting(Z: np.ndarray, d: np.ndarray, rel_tol: float = 1e-8) -> Report:
+def lr_counting(Z: np.ndarray, d: np.ndarray) -> Report:
     """Counting consequences of full induction.
 
     v0 = (d^T Z d)^2 so w_Delta = w^4 / v0; the verdict is whether
-    w_Delta = w^2, i.e. d^T Z d = w.  The doubled-system sector count
-    factorises: sum over two index pairs of (Z Z)^2 equals (sum Z^2)^2.
+    w_Delta = w^2 to a relative 1e-8, i.e. d^T Z d = w.  The
+    doubled-system sector count factorises: sum over two index pairs of
+    (Z Z)^2 equals (sum Z^2)^2.
     """
     Z = np.asarray(Z)
     if Z[0, 0] != 1:
@@ -157,7 +154,7 @@ def lr_counting(Z: np.ndarray, d: np.ndarray, rel_tol: float = 1e-8) -> Report:
     dZd = float(d @ Z @ d)
     v0 = dZd ** 2
     w_delta = w ** 4 / v0
-    ok = abs(w_delta - w * w) <= rel_tol * w * w
+    ok = abs(w_delta - w * w) <= 1e-8 * w * w
     xi_sq = int(np.einsum("lm,rn->", (Z * Z).astype(np.int64),
                           (Z * Z).astype(np.int64)))
     zz = int((Z * Z).sum())
@@ -170,7 +167,8 @@ def lr_counting(Z: np.ndarray, d: np.ndarray, rel_tol: float = 1e-8) -> Report:
     return Report(title="induced-system counting", checks=checks)
 
 
-def degenerate_invariant(system, gamma, theta, tol: float = 1e-6) -> np.ndarray:
+def degenerate_invariant(F: FusionSystem, gamma, theta,
+                         tol: float = 1e-6) -> np.ndarray:
     """Coupling matrix of the subsystem spanned by Gamma.
 
     Builds Z[lam, mu] = sum_theta N[lam, theta, mu] * d_theta on Gamma x
@@ -184,7 +182,6 @@ def degenerate_invariant(system, gamma, theta, tol: float = 1e-6) -> np.ndarray:
     dimension.  Raises YClosureError when a row outside Gamma fails the
     closure assumption sum_{g in Gamma} conj(Y[lam, g]) Y[0, g] = 0.
     """
-    F = _system_of(system)
     if F.twists is None:
         raise ValueError("fusion system carries no twists")
     gamma = sorted(set(int(g) for g in gamma))
@@ -268,9 +265,8 @@ def product_system(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
 
 def verify_extension(md: ModularData, S_ext: np.ndarray, T_ext: np.ndarray,
                      b_plus: np.ndarray, b_minus: np.ndarray,
-                     Z: np.ndarray | None = None,
-                     tol: float = 1e-8) -> Report:
-    """Intertwining checks for user-supplied extension data.
+                     Z: np.ndarray | None = None) -> Report:
+    """Intertwining checks for user-supplied extension data, to 1e-8.
 
     b_plus and b_minus are branching matrices with one row per extended
     sector and one column per label; they must intertwine the extended
@@ -282,21 +278,21 @@ def verify_extension(md: ModularData, S_ext: np.ndarray, T_ext: np.ndarray,
     bm = np.asarray(b_minus)
     checks = [
         Check("branching-integer",
-              bool(np.all(bp >= 0) and np.all(bm >= 0)
-                   and np.issubdtype(bp.dtype, np.integer)
-                   and np.issubdtype(bm.dtype, np.integer)),
+              np.all(bp >= 0) and np.all(bm >= 0)
+              and np.issubdtype(bp.dtype, np.integer)
+              and np.issubdtype(bm.dtype, np.integer),
               "b+ and b- are non-negative integer matrices"),
     ]
     for name, b in (("plus", bp), ("minus", bm)):
         dev_s = float(np.max(np.abs(S_ext @ b - b @ S)))
         dev_t = float(np.max(np.abs(T_ext @ b - b @ T)))
-        checks.append(Check(f"s-intertwine-{name}", dev_s <= tol,
+        checks.append(Check(f"s-intertwine-{name}", dev_s <= 1e-8,
                             f"max dev {dev_s:.3e}"))
-        checks.append(Check(f"t-intertwine-{name}", dev_t <= tol,
+        checks.append(Check(f"t-intertwine-{name}", dev_t <= 1e-8,
                             f"max dev {dev_t:.3e}"))
     Zc = np.conj(bp).T @ bm
     if Z is not None:
-        match = bool(np.max(np.abs(Zc - np.asarray(Z))) <= tol)
+        match = np.max(np.abs(Zc - np.asarray(Z))) <= 1e-8
         checks.append(Check("coupling-product", match,
                             "conj(b+)^T b- reproduces Z"))
     return Report(title=f"extension data ({bp.shape[0]} extended sectors)",

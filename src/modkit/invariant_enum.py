@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fusion_core import FusionSystem, is_permutation_matrix
-from .modular_data import ModularData, modular_data_mp
+from .modular_data import MP_DPS, ModularData, modular_data_mp
 
 __all__ = [
     "EnumerationError",
@@ -58,8 +58,7 @@ GAP_DROP = 1e-8      # singular values below GAP_DROP * smax are null
 GAP_KEEP = 1e-4      # singular values above GAP_KEEP * smax are rank
 SNAP_TOL = 1e-8      # float-to-rational snap acceptance
 INT_TOL = 1e-6       # integrality slack inside the search
-MP_DPS = 40          # digits for the high precision recheck
-MP_TOL = 1e-9        # residual bound at high precision
+MP_TOL = 1e-25       # residual bound of the MP_DPS-digit recheck
 
 
 class EnumerationError(RuntimeError):
@@ -176,16 +175,12 @@ def _snap_rational(C: np.ndarray, pivots: list[int]):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    md: ModularData
     invariants: tuple[np.ndarray, ...]
     cells: tuple[tuple[int, int], ...]
     commutant_dim: int
     pivots: tuple[tuple[int, int], ...]
     nodes: int
     mode: str                             # "rational" or "float"
-
-    def __len__(self) -> int:
-        return len(self.invariants)
 
 
 def commutant_basis(md: ModularData):
@@ -195,7 +190,8 @@ def commutant_basis(md: ModularData):
     F = md.system
     cells = free_cells(F)
     A = commutant_equations(md.S, cells)
-    V = _nullspace(np.vstack([A.real, A.imag]))
+    A = np.vstack([A.real, A.imag])       # drop the complex copy before QR
+    V = _nullspace(A)
     d = F.d
     bounds = np.array([np.floor(d[a] * d[b] + 1e-9) for a, b in cells])
     pivots = _select_pivots(V, cells, bounds)
@@ -297,7 +293,7 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
                                        "check; pipeline inconsistency")
             continue
         if mp_cache is None:
-            mp_cache = modular_data_mp(F, dps=MP_DPS)
+            mp_cache = modular_data_mp(F)
         if _mp_residual(mp_cache[0], Z) > MP_TOL:
             if mode == "rational":
                 raise EnumerationError("rational solution fails high precision "
@@ -309,7 +305,7 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
     for Z in final:
         Z.setflags(write=False)
     return EnumerationResult(
-        md=md, invariants=tuple(final), cells=tuple(cells),
+        invariants=tuple(final), cells=tuple(cells),
         commutant_dim=dim, pivots=tuple(cells[i] for i in pivots),
         nodes=nodes, mode=mode)
 

@@ -53,10 +53,6 @@ class KostantSeries:
     J: int
     n: np.ndarray
 
-    def f_coeffs(self, vertex: int) -> np.ndarray:
-        """Series coefficients of f_vertex(q) up to order J."""
-        return self.n[:, vertex]
-
 
 @dataclass(frozen=True)
 class KostantPolynomial:
@@ -65,11 +61,6 @@ class KostantPolynomial:
     coeffs: tuple[int, ...]
     r: int
     s: int
-
-    @property
-    def degree(self) -> int:
-        nz = [i for i, c in enumerate(self.coeffs) if c]
-        return nz[-1] if nz else 0
 
 
 def format_poly(coeffs) -> str:
@@ -128,7 +119,7 @@ def verify_series(series: KostantSeries) -> Report:
     checks: list[Check] = []
     start = np.zeros(series.graph.n_vertices, dtype=np.int64)
     start[series.graph.star] = 1
-    checks.append(Check("start-indicator", bool(np.array_equal(n[0], start)),
+    checks.append(Check("start-indicator", np.array_equal(n[0], start),
                         "n_0 = indicator of the extension vertex"))
     dev = 0
     for j in range(J):
@@ -137,14 +128,14 @@ def verify_series(series: KostantSeries) -> Report:
     checks.append(Check("three-term-identity", dev == 0,
                         f"A_hat n_j = n_(j-1) + n_(j+1) to order {J - 1}, "
                         f"max deviation {dev}"))
-    checks.append(Check("non-negative", bool((n >= 0).all())))
+    checks.append(Check("non-negative", (n >= 0).all()))
     bound_ok = all((n[j] <= j + 1).all() for j in range(J + 1))
-    checks.append(Check("entry-bound", bool(bound_ok), "n_j^g <= j + 1"))
+    checks.append(Check("entry-bound", bound_ok, "n_j^g <= j + 1"))
     marks = mckay_marks(series.graph)
     totals = n @ marks
     want = np.arange(1, J + 2, dtype=np.int64)
     checks.append(Check("total-dimension",
-                        bool(np.array_equal(totals, want)),
+                        np.array_equal(totals, want),
                         "sum_g mark_g n_j^g = j + 1"))
     return Report(title=f"restriction series ({series.graph.name}, "
                         f"J = {J})", checks=tuple(checks))
@@ -159,9 +150,10 @@ def _product_coeffs(f: np.ndarray, r: int, s: int) -> np.ndarray:
     return p
 
 
-def kostant_poly(series: KostantSeries, r: int, s: int,
-                 h: int) -> list[KostantPolynomial]:
-    """Certify f_g (1 - q^r)(1 - q^s) as a degree <= h polynomial.
+def kostant_poly(series: KostantSeries, r: int,
+                 s: int) -> list[KostantPolynomial]:
+    """Certify f_g (1 - q^r)(1 - q^s) as a degree <= h polynomial,
+    h = r + s - 2.
 
     The tail must vanish on the whole window (h, J - r - s] and the
     surviving coefficients must be non-negative integers with
@@ -170,6 +162,7 @@ def kostant_poly(series: KostantSeries, r: int, s: int,
     """
     if min(r, s) < 1:
         raise ValueError("(r, s) must be positive")
+    h = r + s - 2
     if series.J < 2 * h + r + s:
         raise ValueError(f"truncation {series.J} < 2h + r + s = "
                          f"{2 * h + r + s}; not enough terms to certify")
@@ -213,7 +206,7 @@ def find_rs(series: KostantSeries, h: int,
     for r in range(1, (h + 2) // 2 + 1):
         s = h + 2 - r
         try:
-            kostant_poly(series, r, s, h)
+            kostant_poly(series, r, s)
         except CertificationError:
             continue
         successes.append((r, s))
@@ -240,25 +233,26 @@ def _pad(a: np.ndarray, length: int) -> np.ndarray:
     return np.pad(np.asarray(a, dtype=np.int64), (0, length - len(a)))
 
 
-def nimrep_match(graph: Graph, iota: int, series: KostantSeries,
-                 r: int, s: int, k: int | None = None) -> Report:
+def nimrep_match(graph: Graph, series: KostantSeries,
+                 r: int, s: int) -> Report:
     """Kostant polynomial coefficients against nimrep generator entries.
 
-    For each ordinary vertex g the coefficient of q^(j+1) in p_g must
-    equal G_j[iota, g]; the three-term identity and the product form of
-    Omega are checked by exact polynomial arithmetic.  For the A family
-    the star row, the Omega product, and the coefficient comparison are
-    reported as skipped (the extension vertex has two neighbours there,
-    which doubles the expected entries); off-star rows are asserted for
-    every family.
+    The nimrep is built at level k = h - 2 with h = r + s - 2.  For each
+    ordinary vertex g the coefficient of q^(j+1) in p_g must equal
+    G_j[iota, g], iota = graph.iota; the three-term identity and the
+    product form of Omega are checked by exact polynomial arithmetic.
+    For the A family the star row, the Omega product, and the
+    coefficient comparison are reported as skipped (the extension vertex
+    has two neighbours there, which doubles the expected entries);
+    off-star rows are asserted for every family.
     """
     h = r + s - 2
-    if k is None:
-        k = h - 2
+    k = h - 2
+    iota = graph.iota
     if graph.affine:
         raise ValueError("nimrep_match compares against the ordinary graph")
     soft = graph.name.upper().startswith("A")
-    polys = kostant_poly(series, r, s, h)
+    polys = kostant_poly(series, r, s)
     width = h + 3
     P = np.stack([_pad(p.coeffs, width) for p in polys])
     adj_hat = series.graph.adjacency.astype(np.int64)
@@ -294,7 +288,7 @@ def nimrep_match(graph: Graph, iota: int, series: KostantSeries,
     omega = omega - q_piota
     star_lhs = lhs[star]
     star_rhs = rhs[star] - omega
-    ok = bool(np.array_equal(star_lhs, star_rhs))
+    ok = np.array_equal(star_lhs, star_rhs)
     soft_check("star-row", ok,
                "q (A_hat p)_* = (q^2 + 1) p_* - Omega"
                + ("" if ok else
@@ -306,7 +300,7 @@ def nimrep_match(graph: Graph, iota: int, series: KostantSeries,
     prod[s] -= 1
     if r + s < width:
         prod[r + s] += 1
-    ok = bool(np.array_equal(omega, prod))
+    ok = np.array_equal(omega, prod)
     soft_check("omega-product", ok,
                f"Omega = {format_poly(omega)}"
                + ("" if ok else f" != (1 - q^{r})(1 - q^{s}) "
@@ -323,7 +317,7 @@ def nimrep_match(graph: Graph, iota: int, series: KostantSeries,
             want = np.zeros(width, dtype=np.int64)
             for j in range(k + 1):
                 want[j + 1] = nim.G[j][iota, g]
-            ok = bool(np.array_equal(P[g], want))
+            ok = np.array_equal(P[g], want)
             soft_check(f"coefficients[{g}]", ok,
                        f"p_{g} = {format_poly(P[g])}"
                        + ("" if ok else
@@ -364,8 +358,8 @@ def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
     series = mckay_series(affine, J)
     series_report = verify_series(series)
     (r, s), rs_report = find_rs(series, h, meta.group_order)
-    polys = tuple(kostant_poly(series, r, s, h))
-    match_report = nimrep_match(ordinary, ordinary.iota, series, r, s)
+    polys = tuple(kostant_poly(series, r, s))
+    match_report = nimrep_match(ordinary, series, r, s)
     return KostantSuite(name=ordinary.name, series=series, rs=(r, s),
                         polys=polys, series_report=series_report,
                         rs_report=rs_report, match_report=match_report)

@@ -47,6 +47,8 @@ __all__ = [
     "modular_data_mp",
 ]
 
+MP_DPS = 40          # digits of the high precision (S, omega, z)
+
 
 class DegenerateNormalizationError(ValueError):
     """|z| is numerically zero: S is undefined, only Y and Omega exist."""
@@ -167,7 +169,7 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
 
     def add(name: str, dev: float, extra: str = "") -> None:
         detail = f"max dev {dev:.3e}" + (f"; {extra}" if extra else "")
-        checks.append(Check(name, bool(dev <= tol), detail))
+        checks.append(Check(name, dev <= tol, detail))
 
     Idn = np.eye(n)
     add("s-unitary", float(np.max(np.abs(S @ np.conj(S.T) - Idn))))
@@ -179,12 +181,12 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
     C = np.rint(C_raw.real).astype(np.int64)
     perm = is_permutation_matrix(C)
     dev_c = float(np.max(np.abs(C_raw - C)))
-    checks.append(Check("conjugation-permutation", bool(perm and dev_c <= tol),
+    checks.append(Check("conjugation-permutation", perm and dev_c <= tol,
                         f"max dev {dev_c:.3e}"))
     if perm:
         add("conjugation-involution", float(np.max(np.abs(C @ C - Idn))))
         match = np.array_equal(np.nonzero(C)[1], np.array(F.conj))
-        checks.append(Check("conjugation-match", bool(match),
+        checks.append(Check("conjugation-match", match,
                             "S^2 sends each label to its conjugate"))
     add("s-row0", float(np.max(np.abs(S[0] / S[0, 0] - F.d))),
         "S[0, m] / S[0, 0] = d_m")
@@ -195,13 +197,14 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
                         f"{md.c_mod8:.6f})", checks=tuple(checks))
 
 
-def verlinde_check(md: ModularData, tol: float = 1e-7) -> Report:
-    """Verlinde reconstruction of the integer fusion tensor from S."""
+def verlinde_check(md: ModularData) -> Report:
+    """Verlinde reconstruction of the integer fusion tensor from S, to
+    1e-7."""
     Nv, dev = verlinde_fusion(md.S)
-    ok = bool(np.array_equal(Nv, md.system.N) and dev <= tol)
-    check = Check("verlinde", ok,
+    match = np.array_equal(Nv, md.system.N)
+    check = Check("verlinde", match and dev <= 1e-7,
                   f"max dev {dev:.3e}; integers "
-                  + ("match" if np.array_equal(Nv, md.system.N) else "DIFFER"))
+                  + ("match" if match else "DIFFER"))
     return Report(title=f"verlinde reconstruction (n={md.n})", checks=(check,))
 
 
@@ -230,17 +233,17 @@ def _mp_omega(t: Fraction):
     return mp.e ** (1j * angle)
 
 
-def modular_data_mp(F: FusionSystem, dps: int = 40):
+def modular_data_mp(F: FusionSystem):
     """High precision (S, omega, z) as mpmath matrices.
 
     The quantum dimensions d (with d_0 = 1) and the Perron-Frobenius
     eigenvalue lambda of M = sum_a N_a are refined from the float values
     by Newton's method on M d - lambda d = 0: the residual is evaluated
-    at `dps` digits and the n x n Jacobian [-d | (M - lambda)[:, 1:]] is
+    at MP_DPS digits and the n x n Jacobian [-d | (M - lambda)[:, 1:]] is
     solved in float, so each step gains about 13 digits.  S is then
     rebuilt from the exact rational twists.  Used to re-certify
     enumeration output far below float round-off.  Returns
-    (S, omega, z) at `dps` digits.
+    (S, omega, z) at MP_DPS digits.
     """
     if F.twists is None:
         raise ValueError("fusion system carries no twists")
@@ -249,10 +252,10 @@ def modular_data_mp(F: FusionSystem, dps: int = 40):
     rows = [[(r, int(M[m, r])) for r in np.nonzero(M[m])[0]]
             for m in range(n)]
     Mf = M.astype(float)
-    with mp.workdps(dps):
+    with mp.workdps(MP_DPS):
         d = [mp.mpf(x) for x in F.d / F.d[0]]
         lam = mp.mpf(F.d @ Mf @ F.d / (F.d @ F.d))
-        stop = mp.mpf(10) ** (-(dps - 3))
+        stop = mp.mpf(10) ** (-(MP_DPS - 3))
         for _ in range(60):
             res = [mp.fsum(c * d[r] for r, c in row) - lam * d[m]
                    for m, row in enumerate(rows)]

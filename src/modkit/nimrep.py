@@ -86,18 +86,18 @@ def build_nimrep_su2(graph: Graph, k: int) -> Nimrep:
     return Nimrep(graph=graph, level=k, G=tuple(mats))
 
 
-def verify_nimrep(nim: Nimrep, F: FusionSystem, tol: float = 1e-9) -> Report:
+def verify_nimrep(nim: Nimrep, F: FusionSystem) -> Report:
     """Exact integer checks of the nimrep axioms plus the top-label
-    symmetry and the Perron-Frobenius cross-check."""
+    symmetry and the Perron-Frobenius cross-check (to 1e-9)."""
     G = nim.G
     k = nim.level
     nv = nim.n_vertices
     checks: list[Check] = []
-    checks.append(Check("unit", bool(np.array_equal(G[0], np.eye(nv, dtype=np.int64))),
+    checks.append(Check("unit", np.array_equal(G[0], np.eye(nv, dtype=np.int64)),
                         "G_0 = 1"))
-    checks.append(Check("non-negative", bool(all((g >= 0).all() for g in G))))
+    checks.append(Check("non-negative", all((g >= 0).all() for g in G)))
     sym = all(np.array_equal(G[lam], G[F.conj[lam]].T) for lam in range(k + 1))
-    checks.append(Check("transpose-conjugate", bool(sym),
+    checks.append(Check("transpose-conjugate", sym,
                         "G_conj(l) = G_l^T"))
     rep_dev = 0
     for lam in range(k + 1):
@@ -110,11 +110,11 @@ def verify_nimrep(nim: Nimrep, F: FusionSystem, tol: float = 1e-9) -> Report:
     top = G[k]
     is_perm = is_permutation_matrix(top)
     involution = np.array_equal(top.T @ top, np.eye(nv, dtype=np.int64))
-    checks.append(Check("top-permutation", bool(is_perm and involution),
+    checks.append(Check("top-permutation", is_perm and involution,
                         "G_k is a permutation with G_k^T G_k = 1"))
     pf = float(np.linalg.eigvalsh(nim.graph.adjacency.astype(float))[-1])
     want_pf = 2.0 * np.cos(np.pi / (k + 2))
-    checks.append(Check("pf-eigenvalue", bool(abs(pf - want_pf) <= tol),
+    checks.append(Check("pf-eigenvalue", abs(pf - want_pf) <= 1e-9,
                         f"|adjacency PF {pf:.12f} - 2cos(pi/{k + 2})| "
                         f"= {abs(pf - want_pf):.3e}"))
     return Report(title=f"nimrep axioms ({nim.graph.name} at level {k})",

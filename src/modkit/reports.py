@@ -7,12 +7,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification with a human-readable detail string."""
+    """One named verification with a human-readable detail string.
+
+    ok is stored as a Python bool, so a numpy verdict serialises as JSON.
+    """
 
     name: str
     ok: bool
     detail: str = ""
     skipped: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ok", bool(self.ok))
 
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("ok" if self.ok else "FAIL")

@@ -12,7 +12,9 @@ from modkit.fileio import (
     save_coupling_matrix,
     save_fusion_system,
 )
+from modkit.cli import _report_obj
 from modkit.ising import ising_partition
+from modkit.reports import Check, Report
 
 from oracles import coupling_forms, ising_direct, ising_ring
 
@@ -87,6 +89,51 @@ def test_enum_machine_golden_bytes(k):
     assert p.returncode == 0
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
         ENUM_MACHINE_SHA256[k]
+
+
+# sha256 of `--format machine` for the verifiers, keyed by command line
+# and, for chiral, the coupling_forms(16) entry whose file is appended
+# (height-18 is the E7 invariant, pair-blocks the D10 one).
+# Unlike the enum output these print float residuals, so the digits are
+# specific to this numpy/OpenBLAS build; another build may need new values.
+VERIFIER_MACHINE_SHA256 = {
+    ("modular --level 16", None):
+        "b5d4d463caab9bb0c059cc9fcfc49e2c8185bc84e9f52ed64fc9830781510c22",
+    ("nimrep --graph E7 --level 16", None):
+        "3c87aef575a252abcb9f688276160f45b99ab270a29b3816827b06b999224772",
+    ("kostant --graph E8", None):
+        "fbc52087bab519fd005a06b026afd2a20c424a403bf76e5e725f42260d2323f2",
+    ("chiral --level 16 --invariant", "height-18"):
+        "d2583d04865c44f559555d039487bf1401a05e7ada3f60e13833953a6d8b7391",
+    ("chiral --level 16 --invariant", "pair-blocks"):
+        "35e8bb095a15fe2e4861a3a000034750b0f1ac7c6e0f2af0d36f2b7ec7918f35",
+    ("degenerate --level 16 --theta 0 --gamma "
+     + ",".join(str(i) for i in range(17)), None):
+        "078c44923f20b74b555c34bddb3ca170b0c37115088528e14b9628005a1e8cb6",
+}
+
+
+@pytest.mark.parametrize(
+    "command, form", sorted(VERIFIER_MACHINE_SHA256),
+    ids=[c.split()[0] + (f"-{f}" if f else "")
+         for c, f in sorted(VERIFIER_MACHINE_SHA256)])
+def test_verifier_machine_golden_bytes(command, form, tmp_path):
+    args = command.split()
+    if form is not None:
+        zfile = tmp_path / "z.json"
+        save_coupling_matrix(coupling_forms(16)[form], str(zfile))
+        args.append(str(zfile))
+    p = run(*args, "--format", "machine")
+    assert p.returncode == 0, p.stderr
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        VERIFIER_MACHINE_SHA256[command, form]
+
+
+def test_check_verdict_is_python_bool():
+    # numpy verdicts are stored as bool, so every report serialises
+    check = Check("x", np.bool_(True))
+    assert type(check.ok) is bool
+    json.dumps(_report_obj(Report("t", (check,))))
 
 
 def test_nimrep_build_and_against(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from modkit.fusion_core import (
     DegenerateFusionError,
     FusionSystem,
-    global_index,
     make_fusion_system,
     normalize_twist,
     quantum_dimensions,
@@ -66,7 +65,7 @@ def test_quantum_dimensions_eigen_residual(su2):
 
 def test_global_index_is_sum_of_squares(su2):
     F = su2(10)
-    assert global_index(F) == pytest.approx(float(np.sum(F.d ** 2)), rel=1e-12)
+    assert F.w == pytest.approx(float(np.sum(F.d ** 2)), rel=1e-12)
 
 
 def test_twists_match_quadratic_form(su2):
@@ -134,5 +133,5 @@ def test_su2_axioms_property(k):
 @given(st.integers(min_value=2, max_value=9))
 def test_cyclic_dimensions_property(n):
     F = gen_cyclic(n)
-    assert global_index(F) == pytest.approx(n)
+    assert F.w == pytest.approx(n)
     assert np.max(np.abs(quantum_dimensions(F.N) - 1.0)) < 1e-12

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modkit.invariant_enum as ie
 from modkit.catalog import gen_su2
 from modkit.chiral_analysis import product_system
 from modkit.invariant_enum import (
     MP_DPS,
     MP_TOL,
     BudgetExceededError,
+    EnumerationError,
     _mp_residual,
     build_records,
     commutant_basis,
@@ -113,6 +115,20 @@ def test_commutant_basis_memory():
     assert peak < 64 * 2 ** 20
 
 
+def test_commutant_basis_holds_two_equation_copies():
+    # the stacked real equations and the copy the QR works on; the complex
+    # matrix they came from is freed before the QR, which was a third copy
+    m = modular_data(gen_su2(56))
+    n, cells = m.n, len(free_cells(m.system))
+    tracemalloc.start()
+    try:
+        commutant_basis(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * n * n * cells * 8)
+
+
 def _dense_mp_residual(S_mp, Z):
     """max |S Z - Z S| by dense mpmath products, the reference for the
     sparse certificate."""
@@ -128,7 +144,7 @@ def test_mp_residual_matches_dense(system):
     F = (gen_su2(10) if system == "su2:10"
          else product_system(gen_su2(2), gen_su2(3)))
     result = enumerate_invariants(modular_data(F))
-    S_mp = modular_data_mp(F, dps=MP_DPS)[0]
+    S_mp = modular_data_mp(F)[0]
     for Z in result.invariants:
         got = _mp_residual(S_mp, Z)
         assert abs(got - _dense_mp_residual(S_mp, Z)) < 1e-35
@@ -138,6 +154,21 @@ def test_mp_residual_matches_dense(system):
     got = _mp_residual(S_mp, Z)
     assert abs(got - _dense_mp_residual(S_mp, Z)) < 1e-35
     assert got > 1e3 * MP_TOL
+
+
+def test_mp_recheck_rejects_float_sized_error(monkeypatch):
+    # a 40-digit S with one entry off by 1e-12 passes any float check; the
+    # recheck must reject it, or it certifies nothing beyond float
+    F = gen_su2(16)
+    S_mp, omega, z = modular_data_mp(F)
+    S_bad = S_mp.copy()
+    S_bad[0, 16] += mp.mpf("1e-12")
+    forms = coupling_forms(16)
+    for name in ("pair-blocks", "height-18"):
+        assert _mp_residual(S_bad, forms[name]) > MP_TOL, name
+    monkeypatch.setattr(ie, "modular_data_mp", lambda _F: (S_bad, omega, z))
+    with pytest.raises(EnumerationError, match="high precision"):
+        enumerate_invariants(modular_data(F))
 
 
 def test_permutation_detection(enum):

@@ -102,7 +102,7 @@ def test_high_precision_matches_sine_closed_form(k):
     # beyond float precision, which the 1e-12 test above cannot see
     import mpmath as mp
 
-    S_mp, _, _ = modular_data_mp(gen_su2(k), dps=40)
+    S_mp, _, _ = modular_data_mp(gen_su2(k))
     want = su2_sine_smatrix_mp(k)
     with mp.workdps(50):
         dev = max(abs(S_mp[a, b] - want[a][b])
