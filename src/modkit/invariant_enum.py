@@ -218,7 +218,11 @@ def _leaf_matrix_exact(C_frac, p: list[int], m: int, dim: int):
 
 def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
                          tol: float = 1e-9) -> EnumerationResult:
-    """Complete list of coupling matrices for md, canonically sorted."""
+    """Complete list of coupling matrices for md, canonically sorted.
+
+    Each solution must commute with S to within tol in float arithmetic
+    and to MP_TOL at MP_DPS digits; a rational-mode solution that fails
+    either check raises EnumerationError."""
     F = md.system
     n = F.n
     d = F.d
@@ -287,10 +291,12 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
     for Z in accepted:
         if Z[0, 0] != 1:
             continue
-        if np.max(np.abs(S @ Z - Z @ S)) > max(tol, 1e-8):
+        residual = float(np.max(np.abs(S @ Z - Z @ S)))
+        if residual > tol:
             if mode == "rational":
-                raise EnumerationError("rational solution fails float commutant "
-                                       "check; pipeline inconsistency")
+                raise EnumerationError(
+                    f"rational solution fails float commutant check: "
+                    f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
             continue
         if mp_cache is None:
             mp_cache = modular_data_mp(F)

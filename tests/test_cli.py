@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ def test_enum_writes_catalog(tmp_path):
     assert got == want
 
 
+def test_enum_tolerance_below_float_residual_fails():
+    # the D10 invariant of su(2)_16 commutes with S only to about 2e-15
+    p = run("enum", "--level", "16", "--tolerance", "1e-20")
+    assert p.returncode == 1
+    assert "exceeds tolerance 1.000e-20" in p.stderr
+
+
 def test_enum_machine_deterministic():
     a = run("enum", "--system", "su2", "--level", "10", "--format", "machine")
     b = run("enum", "--system", "su2", "--level", "10", "--format", "machine")
@@ -91,9 +99,10 @@ def test_enum_machine_golden_bytes(k):
         ENUM_MACHINE_SHA256[k]
 
 
-# sha256 of `--format machine` for the verifiers, keyed by command line
-# and, for chiral, the coupling_forms(16) entry whose file is appended
-# (height-18 is the E7 invariant, pair-blocks the D10 one).
+# sha256 of `--format machine` for the verifiers, the Ising torus and
+# verify-all, keyed by command line and, for chiral, the coupling_forms(16)
+# entry whose file is appended (height-18 is the E7 invariant, pair-blocks
+# the D10 one).
 # Unlike the enum output these print float residuals, so the digits are
 # specific to this numpy/OpenBLAS build; another build may need new values.
 VERIFIER_MACHINE_SHA256 = {
@@ -110,6 +119,10 @@ VERIFIER_MACHINE_SHA256 = {
     ("degenerate --level 16 --theta 0 --gamma "
      + ",".join(str(i) for i in range(17)), None):
         "078c44923f20b74b555c34bddb3ca170b0c37115088528e14b9628005a1e8cb6",
+    ("ising --m 4 --n 6 --beta 0.4", None):
+        "6dc982d2fbfa9355d3633a064ac625b647a01211c46d74210f0ff8ed6561ee6c",
+    ("verify-all", None):
+        "25562ed6fe0acee503ee9fc4992ecb11db05423475782a6d97c6781ec8ab6a70",
 }
 
 
@@ -203,6 +216,31 @@ def test_ising_values_against_oracles():
         want = ising_direct(M, N, 0.7)
         assert zb == pytest.approx(want, rel=1e-12)
         assert zt == pytest.approx(want, rel=1e-12)
+
+
+def test_ising_brute_force_equals_direct_sum_exactly():
+    # same exponents summed in the same order as the oracle, bit for bit;
+    # criterion 9's printed worst relative difference depends on it
+    for M in range(1, 17):
+        for N in range(1, 16 // M + 1):
+            for beta in (0.0, 0.3, 1.0):
+                assert ising_partition(M, N, beta)[0] == \
+                    ising_direct(M, N, beta), (M, N, beta)
+
+
+def test_ising_wide_strip_memory():
+    # a 20 x 1 torus is the transpose of a 20-column ring; the transfer
+    # side needs O(2^M) for N = 1, not a 2^M x M spin table
+    tracemalloc.start()
+    try:
+        zb, zt = ising_partition(20, 1, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
+    want = ising_ring(20, 0.4)
+    assert zb == pytest.approx(want, rel=1e-12)
+    assert zt == pytest.approx(want, rel=1e-12)
 
 
 def test_ising_coupling_parameter():
