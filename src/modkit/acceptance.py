@@ -15,6 +15,7 @@ strategies certify each other.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,35 +122,47 @@ def _same_set(got, want) -> bool:
             and all(np.array_equal(a, b) for a, b in zip(got, want)))
 
 
+_CHUNK = 1 << 13        # brute-force candidates per chunk
+_SCREEN_ROWS = 8        # equation rows every candidate meets first
+
+
 def _brute_force(md) -> list[np.ndarray]:
     """Direct search over every integer matrix inside the entry bounds.
 
     Cells with unequal twists are forced to zero exactly, the vacuum
-    cell is pinned to 1, and each remaining candidate is kept when its
-    commutator with S vanishes to 1e-6.  Only practical for small rank.
+    cell is pinned to 1, and each remaining candidate is kept when every
+    entry of S Z - Z S has complex modulus below 1e-6.  The candidates,
+    the Cartesian product of the cell ranges, are walked in C order in
+    chunks of flat indices, so memory does not grow with their number.
+    Each chunk first meets the few real or imaginary equation rows with
+    the most non-zeros: a part of at least 1e-6 means a modulus of at
+    least 1e-6, so this screen only rejects, and every survivor gets the
+    full check on all n^2 entries.  Only practical for small rank.
     """
+    tol = 1e-6
     F = md.system
-    n = F.n
+    nn = F.n * F.n
     cells = free_cells(F)
     A = commutant_equations(md.S, cells)
-    ranges = []
-    for i, (a, b) in enumerate(cells):
-        if (a, b) == (0, 0):
-            ranges.append(np.arange(1, 2))
-        else:
-            hi = int(np.floor(F.d[a] * F.d[b] + 1e-9))
-            ranges.append(np.arange(hi + 1))
-    grids = np.meshgrid(*ranges, indexing="ij")
-    X = np.stack([g.ravel() for g in grids]).astype(np.float64)
+    busiest = np.argsort(-np.count_nonzero(A, axis=1), kind="stable")
+    screen = A[busiest[:_SCREEN_ROWS]]
+    shape = [1 if (a, b) == (0, 0)
+             else int(np.floor(F.d[a] * F.d[b] + 1e-9)) + 1
+             for a, b in cells]
+    vacuum = cells.index((0, 0))
+    where = tuple(np.array(cells).T)
+    total = math.prod(shape)
     sols = []
-    chunk = 1 << 14
-    for start in range(0, X.shape[1], chunk):
-        block = X[:, start:start + chunk]
-        keep = np.nonzero(np.max(np.abs(A @ block), axis=0) < 1e-6)[0]
-        for idx in keep:
-            Z = np.zeros((n, n), dtype=np.int64)
-            for (a, b), v in zip(cells, block[:, idx]):
-                Z[a, b] = int(round(v))
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total))
+        X = np.array(np.unravel_index(flat, shape), dtype=np.float64)
+        X[vacuum] = 1.0
+        X = X[:, np.max(np.abs(screen @ X), axis=0) < tol]
+        R = A @ X
+        keep = np.max(np.hypot(R[:nn], R[nn:]), axis=0) < tol
+        for values in X[:, keep].T.astype(np.int64):
+            Z = np.zeros((F.n, F.n), dtype=np.int64)
+            Z[where] = values
             sols.append(Z)
     return _canon(sols)
 

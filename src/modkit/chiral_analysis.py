@@ -7,8 +7,8 @@ Quantities attached to a coupling matrix Z over a fusion system:
 
 together with identities tying them to the degenerate sectors: the
 vacuum-coupled norm sums A and B, the commutation residuals of Z with Y
-and Omega, and the counting consequences of the induced full system
-(w_Delta = w^2 and the factorised sector count).
+and Omega, and the counting consequence of the induced full system
+(w_Delta = w^2).
 
 The degenerate-subsystem construction builds a coupling matrix from a
 fusion- and conjugation-closed label subset Gamma whose degenerate part
@@ -140,12 +140,10 @@ def commutant_check(F: FusionSystem, Z: np.ndarray) -> Report:
 
 
 def lr_counting(Z: np.ndarray, d: np.ndarray) -> Report:
-    """Counting consequences of full induction.
+    """Counting consequence of full induction.
 
     v0 = (d^T Z d)^2 so w_Delta = w^4 / v0; the verdict is whether
-    w_Delta = w^2 to a relative 1e-8, i.e. d^T Z d = w.  The
-    doubled-system sector count factorises: sum over two index pairs of
-    (Z Z)^2 equals (sum Z^2)^2.
+    w_Delta = w^2 to a relative 1e-8, i.e. d^T Z d = w.
     """
     Z = np.asarray(Z)
     if Z[0, 0] != 1:
@@ -155,14 +153,9 @@ def lr_counting(Z: np.ndarray, d: np.ndarray) -> Report:
     v0 = dZd ** 2
     w_delta = w ** 4 / v0
     ok = abs(w_delta - w * w) <= 1e-8 * w * w
-    xi_sq = int(np.einsum("lm,rn->", (Z * Z).astype(np.int64),
-                          (Z * Z).astype(np.int64)))
-    zz = int((Z * Z).sum())
     checks = (
         Check("full-index", ok,
               f"w_Delta = {w_delta:.8f}, w^2 = {w * w:.8f}, d Z d = {dZd:.8f}"),
-        Check("sector-count", xi_sq == zz * zz,
-              f"sum Xi^2 = {xi_sq} = (sum Z^2)^2 = {zz * zz}"),
     )
     return Report(title="induced-system counting", checks=checks)
 

@@ -59,6 +59,10 @@ GAP_KEEP = 1e-4      # singular values above GAP_KEEP * smax are rank
 SNAP_TOL = 1e-8      # float-to-rational snap acceptance
 INT_TOL = 1e-6       # integrality slack inside the search
 MP_TOL = 1e-25       # residual bound of the MP_DPS-digit recheck
+# One copy of the commutant equations may take this much; the basis holds
+# two (its own and the QR's).  su(2)_10 x su(2)_10 needs 183 MiB per copy,
+# su(2)_12 x su(2)_12 482 MiB and su(2)_13 x su(2)_13 897 MiB.
+EQUATIONS_MAX_BYTES = 512 << 20
 
 
 class EnumerationError(RuntimeError):
@@ -95,14 +99,26 @@ def free_cells(F: FusionSystem) -> list[tuple[int, int]]:
 
 def commutant_equations(S: np.ndarray,
                         cells: list[tuple[int, int]]) -> np.ndarray:
-    """Complex (n^2, m) matrix whose column for cell (a, b) is the
-    row-major ravel of S E_ab - E_ab S, so A @ Z[cells] ravels S Z - Z S."""
-    n = S.shape[0]
-    A = np.zeros((n, n, len(cells)), dtype=complex)
+    """Real (2 n^2, m) matrix whose column for cell (a, b) holds the
+    row-major ravel of S E_ab - E_ab S, real parts above imaginary parts,
+    so A @ Z[cells] stacks the real and imaginary parts of S Z - Z S.
+
+    Raises EnumerationError before allocating when the matrix would
+    exceed EQUATIONS_MAX_BYTES.
+    """
+    n, m = S.shape[0], len(cells)
+    need = 2 * n * n * m * 8
+    if need > EQUATIONS_MAX_BYTES:
+        raise EnumerationError(
+            f"commutant equations need {need / 2 ** 20:.0f} MiB "
+            f"(2 n^2 m doubles, n = {n}, m = {m} free cells), over the "
+            f"{EQUATIONS_MAX_BYTES / 2 ** 20:.0f} MiB limit")
+    parts = np.stack([S.real, S.imag])
+    A = np.zeros((2, n, n, m))
     for col, (a, b) in enumerate(cells):
-        A[:, b, col] += S[:, a]           # S E_ab
-        A[a, :, col] -= S[b, :]           # E_ab S
-    return A.reshape(n * n, len(cells))
+        A[:, :, b, col] += parts[:, :, a]     # S E_ab
+        A[:, a, :, col] -= parts[:, b, :]     # E_ab S
+    return A.reshape(2 * n * n, m)
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
@@ -189,9 +205,7 @@ def commutant_basis(md: ModularData):
     values at the pivot cells.  mode says whether C is exactly rational."""
     F = md.system
     cells = free_cells(F)
-    A = commutant_equations(md.S, cells)
-    A = np.vstack([A.real, A.imag])       # drop the complex copy before QR
-    V = _nullspace(A)
+    V = _nullspace(commutant_equations(md.S, cells))
     d = F.d
     bounds = np.array([np.floor(d[a] * d[b] + 1e-9) for a, b in cells])
     pivots = _select_pivots(V, cells, bounds)

@@ -7,10 +7,14 @@ failing criterion directly.
 
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from modkit.acceptance import NAMES, render_lines, run_all
+from modkit.acceptance import NAMES, _brute_force, render_lines, run_all
+
+from oracles import brute_force_invariants
 
 N_CRITERIA = len(NAMES)
 
@@ -40,3 +44,27 @@ def test_verify_all_cli_is_reproducible():
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def _as_sorted(mats):
+    return sorted(tuple(np.asarray(Z).ravel().tolist()) for Z in mats)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_brute_force_matches_oracle(md, k):
+    # criterion 3's search against the closed-form S of the oracle
+    assert _as_sorted(_brute_force(md(k))) == \
+        _as_sorted(brute_force_invariants(k))
+
+
+def test_brute_force_memory(md):
+    # k = 6 has 129,024 candidates of 9 cells; holding them all at once,
+    # with their products, takes about 36 MiB
+    m = md(6)
+    tracemalloc.start()
+    try:
+        _brute_force(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -13,7 +13,8 @@ from modkit.fileio import (
     save_coupling_matrix,
     save_fusion_system,
 )
-from modkit.cli import _report_obj
+from modkit import invariant_enum
+from modkit.cli import _report_obj, main
 from modkit.ising import ising_partition
 from modkit.reports import Check, Report
 
@@ -73,6 +74,19 @@ def test_enum_tolerance_below_float_residual_fails():
     assert "exceeds tolerance 1.000e-20" in p.stderr
 
 
+def test_enum_equation_size_guard(monkeypatch, capsys):
+    # su(2)_56 needs 2 * 57^2 * 85 doubles (4.2 MiB) of commutant equations;
+    # past the limit enum exits 1 with the estimate instead of allocating
+    monkeypatch.setattr(invariant_enum, "EQUATIONS_MAX_BYTES", 2 ** 20)
+    assert main(["enum", "--level", "56"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: commutant equations need 4 MiB (2 n^2 m doubles, n = 57, "
+        "m = 85 free cells), over the 1 MiB limit")
+    monkeypatch.undo()
+    # su(2)_10 x su(2)_10 (n = 121, 817 free cells) stays inside the limit
+    assert 2 * 121 ** 2 * 817 * 8 <= invariant_enum.EQUATIONS_MAX_BYTES
+
+
 def test_enum_machine_deterministic():
     a = run("enum", "--system", "su2", "--level", "10", "--format", "machine")
     b = run("enum", "--system", "su2", "--level", "10", "--format", "machine")
@@ -113,9 +127,9 @@ VERIFIER_MACHINE_SHA256 = {
     ("kostant --graph E8", None):
         "fbc52087bab519fd005a06b026afd2a20c424a403bf76e5e725f42260d2323f2",
     ("chiral --level 16 --invariant", "height-18"):
-        "d2583d04865c44f559555d039487bf1401a05e7ada3f60e13833953a6d8b7391",
+        "6c2f057eb537d52e619b17d9709c74a7443cc013d1827ce625e8b7faac762448",
     ("chiral --level 16 --invariant", "pair-blocks"):
-        "35e8bb095a15fe2e4861a3a000034750b0f1ac7c6e0f2af0d36f2b7ec7918f35",
+        "a442e52df05ea1bf83f93c02bf105202f62bf43d308514893c4a31e7a91a402c",
     ("degenerate --level 16 --theta 0 --gamma "
      + ",".join(str(i) for i in range(17)), None):
         "078c44923f20b74b555c34bddb3ca170b0c37115088528e14b9628005a1e8cb6",

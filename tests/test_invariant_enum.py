@@ -116,8 +116,7 @@ def test_commutant_basis_memory():
 
 
 def test_commutant_basis_holds_two_equation_copies():
-    # the stacked real equations and the copy the QR works on; the complex
-    # matrix they came from is freed before the QR, which was a third copy
+    # the real equation matrix and the copy the QR works on
     m = modular_data(gen_su2(56))
     n, cells = m.n, len(free_cells(m.system))
     tracemalloc.start()
