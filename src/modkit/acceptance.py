@@ -205,11 +205,9 @@ def _c3(ctx: Context):
     counts = []
     agree = True
     for k in range(2, 7):
-        got = _canon(ctx.enum(k).invariants)
         want = _brute_force(ctx.md(k))
         counts.append(len(want))
-        agree &= (len(got) == len(want)
-                  and all(np.array_equal(a, b) for a, b in zip(got, want)))
+        agree &= _same_set(ctx.enum(k).invariants, want)
     return agree, (f"levels 2..6 equal brute force, counts {counts}")
 
 

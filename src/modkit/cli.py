@@ -131,7 +131,7 @@ def _cmd_enum(args) -> int:
         save_invariant_catalog(obj, args.out)
     lines = [f"{len(records)} coupling matrices for {sys_id} "
              f"(commutant dimension {result.commutant_dim}, "
-             f"{result.nodes} search nodes, mode {result.mode})"]
+             f"{result.nodes} search nodes)"]
     for i, rec in enumerate(records):
         wit = ("type I" if rec["type_I"] is not None else
                "type II" if rec["twist"] is not None else "unfactored")
@@ -241,10 +241,10 @@ def _parse_labels(F, raw: str) -> list[int]:
     out = []
     for token in raw.split(sep):
         token = token.strip()
-        if token in F.labels:
-            out.append(F.labels.index(token))
-        else:
-            out.append(int(token))
+        label = F.labels.index(token) if token in F.labels else int(token)
+        if not 0 <= label < F.n:
+            raise ValueError(f"label {token} is outside 0..{F.n - 1}")
+        out.append(label)
     return out
 
 

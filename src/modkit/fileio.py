@@ -56,6 +56,11 @@ def _twists_out(F: FusionSystem):
 def _twists_in(raw):
     if raw is None:
         return None
+    for pair in raw:
+        if (len(pair) != 2 or any(type(x) is not int for x in pair)
+                or not pair[1]):
+            raise ValueError(f"twist {pair} is not [num, den] with integers "
+                             f"and den != 0")
     return [Fraction(num, den) for num, den in raw]
 
 
@@ -80,8 +85,15 @@ def fusion_system_from_dict(obj: dict) -> FusionSystem:
     if len(labels) != n:
         raise ValueError("rank does not match number of labels")
     N = np.zeros((n, n, n), dtype=np.int64)
-    for i, j, k, v in obj["fusion"]:
+    for quad in obj["fusion"]:
+        if (len(quad) != 4 or any(type(x) is not int for x in quad)
+                or not all(0 <= x < n for x in quad[:3])):
+            raise ValueError(f"fusion entry {quad} is not [a, b, c, N] with "
+                             f"integers and labels a, b, c in 0..{n - 1}")
+        i, j, k, v = quad
         N[i, j, k] = v
+    if any(type(x) is not int for x in obj["conjugation"]):
+        raise ValueError("conjugation must list integer labels")
     return make_fusion_system(labels, N, obj["conjugation"],
                               _twists_in(obj.get("twists")))
 
@@ -170,9 +182,11 @@ def save_coupling_matrix(Z: np.ndarray, path: str) -> None:
 
 def load_coupling_matrix(path: str) -> np.ndarray:
     obj = _read(path, "coupling-matrix")
-    Z = np.array(obj["Z"], dtype=np.int64)
+    Z = np.array(obj["Z"])
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError("Z must be a square matrix")
+    if Z.dtype != np.int64:
+        raise ValueError(f"Z entries must be integers, not {Z.dtype}")
     Z.setflags(write=False)
     return Z
 

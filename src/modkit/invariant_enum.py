@@ -14,13 +14,18 @@ Pipeline:
    cells and extract a nullspace basis by SVD, requiring a clean
    singular value gap;
 3. choose pivot cells (the vacuum cell first, then small entry bounds
-   first) so every solution is an affine function Z = C p of its pivot
-   values, and snap C to exact rationals when possible;
-4. depth-first search over integer pivot vectors with interval pruning,
-   the entry bounds, and the identity d^T Z d = w, which follows from
-   S Z S = Z C and Z[0, 0] = 1;
+   first) so every solution is Z[cells] = K p / D in its pivot values
+   p, with K an integer matrix and D a positive integer; the basis is
+   snapped to fractions of denominator at most SNAP_DEN, and a basis
+   that does not snap raises EnumerationError;
+4. depth-first search over integer pivot vectors, with the vacuum
+   pinned to 1, on D Z[cells] in exact int64 arithmetic: interval
+   pruning, the entry bounds, integrality of settled cells, and the
+   identity d^T Z d = w, which follows from S Z S = Z C and
+   Z[0, 0] = 1;
 5. verify every accepted matrix against S in float and again at high
-   precision via mpmath before it enters the result.
+   precision via mpmath; a matrix that fails either check raises
+   EnumerationError.
 
 The search is exhaustive within the entry bounds, so the result is a
 complete catalogue, not a sample.  A node budget guards against
@@ -31,6 +36,7 @@ than returning a silently truncated list.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +63,7 @@ __all__ = [
 GAP_DROP = 1e-8      # singular values below GAP_DROP * smax are null
 GAP_KEEP = 1e-4      # singular values above GAP_KEEP * smax are rank
 SNAP_TOL = 1e-8      # float-to-rational snap acceptance
-INT_TOL = 1e-6       # integrality slack inside the search
+SNAP_DEN = 1000      # largest denominator of a snapped basis entry, and of D
 MP_TOL = 1e-25       # residual bound of the MP_DPS-digit recheck
 # One copy of the commutant equations may take this much; the basis holds
 # two (its own and the QR's).  su(2)_10 x su(2)_10 needs 183 MiB per copy,
@@ -151,9 +157,11 @@ def _select_pivots(V: np.ndarray, cells: list[tuple[int, int]],
                    bounds: np.ndarray) -> list[int]:
     """Greedy choice of dim well-spread rows of V.
 
-    The vacuum cell comes first when it spans a new direction (it always
-    does: the identity matrix has Z[0, 0] = 1).  Remaining candidates are
-    ordered by entry bound so the search ranges stay small.
+    The vacuum cell comes first and is always picked: the normalised
+    identity lies in the column span of V, so the vacuum row of V has
+    norm at least 1 / sqrt(n), and EQUATIONS_MAX_BYTES keeps n <= 322,
+    so that norm is at least 0.0557.  Remaining candidates are ordered
+    by entry bound so the search ranges stay small.
     """
     m, dim = V.shape
     order = sorted(range(m), key=lambda i: (cells[i] != (0, 0), bounds[i], cells[i]))
@@ -172,21 +180,34 @@ def _select_pivots(V: np.ndarray, cells: list[tuple[int, int]],
                            "is numerically degenerate")
 
 
-def _snap_rational(C: np.ndarray, pivots: list[int]):
-    """Try to identify C with a rational matrix.  None when it is not one."""
+def _snap_rational(C: np.ndarray, pivots: list[int]) -> tuple[np.ndarray, int]:
+    """Exact form (K, D) of C: an int64 matrix K and a denominator D with
+    C = K / D.
+
+    Each entry is snapped to the nearest fraction with denominator at
+    most SNAP_DEN; the snap must land within SNAP_TOL, the pivot rows
+    must be unit vectors, and the lcm D of the denominators must not
+    exceed SNAP_DEN.  Raises EnumerationError otherwise.
+    """
     m, dim = C.shape
-    F = [[None] * dim for _ in range(m)]
-    for i in range(m):
-        for j in range(dim):
-            f = Fraction(float(C[i, j])).limit_denominator(10 ** 6)
-            if abs(float(f) - C[i, j]) > SNAP_TOL:
-                return None
-            F[i][j] = f
-    for row, i in enumerate(pivots):
-        for j in range(dim):
-            if F[i][j] != (1 if j == row else 0):
-                return None
-    return F
+    fracs = [Fraction(x).limit_denominator(SNAP_DEN) for x in C.ravel().tolist()]
+    miss = np.abs(C.ravel() - np.array([float(f) for f in fracs]))
+    if miss.max() > SNAP_TOL:
+        i, j = divmod(int(np.argmax(miss)), dim)
+        raise EnumerationError(
+            f"commutant basis is not rational: entry ({i}, {j}) = {C[i, j]:.17g} "
+            f"is {miss.max():.1e} from every fraction with denominator <= "
+            f"{SNAP_DEN} (tolerance {SNAP_TOL:g})")
+    D = math.lcm(*(f.denominator for f in fracs))
+    if D > SNAP_DEN:
+        raise EnumerationError(f"commutant basis denominators have lcm {D} "
+                               f"> {SNAP_DEN}")
+    K = np.array([f.numerator * (D // f.denominator) for f in fracs],
+                 dtype=np.int64).reshape(m, dim)
+    if not np.array_equal(K[pivots], D * np.eye(dim, dtype=np.int64)):
+        raise EnumerationError("snapped commutant basis is not the identity "
+                               "on its pivot cells")
+    return K, D
 
 
 @dataclass(frozen=True)
@@ -196,63 +217,54 @@ class EnumerationResult:
     commutant_dim: int
     pivots: tuple[tuple[int, int], ...]
     nodes: int
-    mode: str                             # "rational" or "float"
 
 
 def commutant_basis(md: ModularData):
-    """(cells, C, pivot indices, mode): solutions of [Z, S] = [Z, T] = 0
-    supported on the free cells are exactly Z[cells] = C @ p with p the
-    values at the pivot cells.  mode says whether C is exactly rational."""
+    """(cells, K, D, pivot indices, bounds): solutions of [Z, S] = [Z, T] = 0
+    supported on the free cells are exactly Z[cells] = K @ p / D, with p
+    the values at the pivot cells, K an int64 matrix and D an integer.
+    The vacuum cell (0, 0) is pivot 0."""
     F = md.system
     cells = free_cells(F)
     V = _nullspace(commutant_equations(md.S, cells))
     d = F.d
-    bounds = np.array([np.floor(d[a] * d[b] + 1e-9) for a, b in cells])
+    bounds = np.array([np.floor(d[a] * d[b] + 1e-9) for a, b in cells],
+                      dtype=np.int64)
     pivots = _select_pivots(V, cells, bounds)
+    if cells[pivots[0]] != (0, 0):
+        raise EnumerationError("the vacuum cell is not the first pivot")
     C = V @ np.linalg.inv(V[pivots])
-    C_frac = _snap_rational(C, pivots)
-    if C_frac is not None:
-        C = np.array([[float(f) for f in row] for row in C_frac])
-        mode = "rational"
-    else:
-        mode = "float"
-    return cells, C, C_frac, pivots, bounds, mode
-
-
-def _leaf_matrix_exact(C_frac, p: list[int], m: int, dim: int):
-    """Exact cell values at a leaf, or None if any is not an integer >= 0."""
-    values = []
-    for i in range(m):
-        v = sum(C_frac[i][j] * p[j] for j in range(dim))
-        if v.denominator != 1 or v < 0:
-            return None
-        values.append(int(v))
-    return values
+    # every value of D Z[cells] met in the search is at most this in size
+    if np.max(np.abs(C) @ bounds[pivots]) * SNAP_DEN >= 2.0 ** 62:
+        raise EnumerationError("commutant basis too large for int64 search")
+    K, D = _snap_rational(C, pivots)
+    return cells, K, D, pivots, bounds
 
 
 def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
                          tol: float = 1e-9) -> EnumerationResult:
     """Complete list of coupling matrices for md, canonically sorted.
 
-    Each solution must commute with S to within tol in float arithmetic
-    and to MP_TOL at MP_DPS digits; a rational-mode solution that fails
-    either check raises EnumerationError."""
+    The search runs on X = D Z[cells] in exact integer arithmetic.  Each
+    solution must commute with S to within tol in float arithmetic and
+    to MP_TOL at MP_DPS digits; a solution that fails either check
+    raises EnumerationError."""
     F = md.system
     n = F.n
-    d = F.d
-    w = F.w
-    cells, C, C_frac, pivots, bounds, mode = commutant_basis(md)
-    m, dim = C.shape
-    g = np.array([d[a] * d[b] for a, b in cells])      # d^T Z d weights
-    pos = np.maximum(C, 0.0) * bounds[pivots]          # per-pivot interval tops
-    neg = np.minimum(C, 0.0) * bounds[pivots]
-    int_tol = INT_TOL
+    cells, K, D, pivots, bounds = commutant_basis(md)
+    dim = K.shape[1]
+    g = np.array([F.d[a] * F.d[b] for a, b in cells])  # d^T Z d weights
+    top = D * bounds                                   # entry bounds of X
+    pos = np.maximum(K, 0) * bounds[pivots]            # per-pivot interval tops
+    neg = np.minimum(K, 0) * bounds[pivots]
+    w_lo, w_hi = D * (F.w - 1e-6), D * (F.w + 1e-6)
+    where = tuple(np.array(cells).T)
 
     accepted: list[np.ndarray] = []
     nodes = 0
     deepest = 0
 
-    def descend(depth: int, base: np.ndarray, p: list[int]) -> None:
+    def descend(depth: int, base: np.ndarray) -> None:
         nonlocal nodes, deepest
         nodes += 1
         deepest = max(deepest, depth)
@@ -261,73 +273,45 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
         rest = slice(depth, dim)
         lo = base + neg[:, rest].sum(axis=1)
         hi = base + pos[:, rest].sum(axis=1)
-        if np.any(hi < -int_tol) or np.any(lo > bounds + int_tol):
+        if np.any(hi < 0) or np.any(lo > top):
             return
-        xlo = np.maximum(lo, 0.0)
-        xhi = np.minimum(hi, bounds)
-        if g @ xlo > w + 1e-6 or g @ xhi < w - 1e-6:
+        if g @ np.maximum(lo, 0) > w_hi or g @ np.minimum(hi, top) < w_lo:
             return                        # d^T Z d = w is unreachable
         if depth == dim:
-            settled = np.rint(base)
-            if np.max(np.abs(base - settled)) > int_tol:
+            if np.any(base % D):
                 return
-            if C_frac is not None:
-                exact = _leaf_matrix_exact(C_frac, p, m, dim)
-                if exact is None:
-                    return
-                settled = np.array(exact, dtype=float)
             Z = np.zeros((n, n), dtype=np.int64)
-            for (a, b), v in zip(cells, settled):
-                Z[a, b] = int(round(v))
+            Z[where] = base // D
             accepted.append(Z)
             return
-        # cells already fully determined must sit near integers
-        determined = hi - lo < 2 * int_tol
-        frac = np.abs(base - np.rint(base))
-        if np.any(determined & (frac > int_tol)):
-            return
-        i = pivots[depth]
-        vlo = int(np.ceil(max(lo[i], 0.0) - int_tol))
-        vhi = int(np.floor(min(hi[i], bounds[i]) + int_tol))
-        for v in range(vlo, vhi + 1):
-            descend(depth + 1, base + C[:, depth] * v, p + [v])
+        if np.any((lo == hi) & (base % D != 0)):
+            return                        # a settled cell is not an integer
+        # pivot rows of K are D times unit vectors, so the pivot cell is
+        # the value v itself and ranges over its whole entry bound
+        for v in range(bounds[pivots[depth]] + 1):
+            descend(depth + 1, base + K[:, depth] * v)
 
-    if pivots and cells[pivots[0]] == (0, 0):
-        descend(1, C[:, 0] * 1.0, [1])    # vacuum cell is pinned to 1
-    else:
-        # vacuum cell was not independent; search all pivots, filter later
-        descend(0, np.zeros(m), [])
+    descend(1, K[:, 0].copy())            # vacuum cell is pinned to 1
 
     # verify in float, then at high precision
     S = md.S
-    final: list[np.ndarray] = []
-    mp_cache = None
+    S_mp = modular_data_mp(F)[0]
     for Z in accepted:
-        if Z[0, 0] != 1:
-            continue
         residual = float(np.max(np.abs(S @ Z - Z @ S)))
         if residual > tol:
-            if mode == "rational":
-                raise EnumerationError(
-                    f"rational solution fails float commutant check: "
-                    f"residual {residual:.3e} exceeds tolerance {tol:.3e}")
-            continue
-        if mp_cache is None:
-            mp_cache = modular_data_mp(F)
-        if _mp_residual(mp_cache[0], Z) > MP_TOL:
-            if mode == "rational":
-                raise EnumerationError("rational solution fails high precision "
-                                       "recheck; pipeline inconsistency")
-            continue
-        final.append(Z)
-
-    final.sort(key=lambda Z: tuple(Z.ravel().tolist()))
-    for Z in final:
+            raise EnumerationError(
+                f"solution fails float commutant check: residual "
+                f"{residual:.3e} exceeds tolerance {tol:.3e}")
+        if _mp_residual(S_mp, Z) > MP_TOL:
+            raise EnumerationError("solution fails high precision recheck; "
+                                   "pipeline inconsistency")
         Z.setflags(write=False)
+
+    accepted.sort(key=lambda Z: tuple(Z.ravel().tolist()))
     return EnumerationResult(
-        invariants=tuple(final), cells=tuple(cells),
+        invariants=tuple(accepted), cells=tuple(cells),
         commutant_dim=dim, pivots=tuple(cells[i] for i in pivots),
-        nodes=nodes, mode=mode)
+        nodes=nodes)
 
 
 def _mp_residual(S_mp, Z: np.ndarray) -> float:

@@ -56,11 +56,9 @@ class KostantSeries:
 
 @dataclass(frozen=True)
 class KostantPolynomial:
-    """p_vertex(q) = sum_i coeffs[i] q^i, certified for the pair (r, s)."""
+    """p_vertex(q) = sum_i coeffs[i] q^i, certified for the suite's (r, s)."""
     vertex: int
     coeffs: tuple[int, ...]
-    r: int
-    s: int
 
 
 def format_poly(coeffs) -> str:
@@ -183,8 +181,7 @@ def kostant_poly(series: KostantSeries, r: int,
                 f"(r, s) = ({r}, {s}): vertex {g} has negative "
                 f"coefficient {int(p[i])} at degree {i}")
         polys.append(KostantPolynomial(vertex=g,
-                                       coeffs=tuple(int(c) for c in head),
-                                       r=r, s=s))
+                                       coeffs=tuple(int(c) for c in head)))
     star = polys[series.graph.star].coeffs
     want = tuple(1 if i in (0, h) else 0 for i in range(h + 1))
     if star != want:

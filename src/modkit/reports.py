@@ -39,9 +39,5 @@ class Report:
     def ok(self) -> bool:
         return all(c.ok or c.skipped for c in self.checks)
 
-    @property
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not (c.ok or c.skipped))
-
     def __str__(self) -> str:
         return "\n".join([self.title] + ["  " + c.line() for c in self.checks])

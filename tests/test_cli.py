@@ -220,6 +220,14 @@ def test_degenerate_subcommand(tmp_path, su2):
     assert "not Y-closed" in p2.stderr
 
 
+@pytest.mark.parametrize("gamma", ["0,99", "0,-1"])
+def test_degenerate_rejects_labels_out_of_range(capsys, gamma):
+    # 99 indexed past the end; -1 was read as the last label
+    assert main(["degenerate", "--level", "4", "--gamma", gamma,
+                 "--theta", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: label ")
+
+
 def test_ising_values_against_oracles():
     zb, zt = ising_partition(1, 7, 0.4)
     want = ising_ring(7, 0.4)

@@ -116,6 +116,33 @@ def test_non_square_matrix_rejected(tmp_path):
         load_coupling_matrix(str(p))
 
 
+def test_fractional_coupling_matrix_rejected(tmp_path):
+    p = tmp_path / "frac.json"
+    p.write_text(json.dumps({"format": "coupling-matrix", "version": 1,
+                             "Z": [[1.7, 0], [0, 1]]}))
+    with pytest.raises(ValueError, match="integers"):
+        load_coupling_matrix(str(p))
+
+
+@pytest.mark.parametrize("quad", [[0, 4, 4, 1], [-1, 0, 0, 1],
+                                  [0, 0, 0], [0, 0, 0, 1.5]])
+def test_malformed_fusion_entry_rejected(su2, quad):
+    obj = fusion_system_dict(su2(3))
+    obj["fusion"].append(quad)
+    with pytest.raises(ValueError, match="fusion entry"):
+        fusion_system_from_dict(obj)
+
+
+@pytest.mark.parametrize("key, value", [("twists", [1.5, 2]),
+                                        ("twists", [1, 0]),
+                                        ("conjugation", 1.7)])
+def test_malformed_twist_or_conjugation_rejected(su2, key, value):
+    obj = fusion_system_dict(su2(3))
+    obj[key][1] = value
+    with pytest.raises(ValueError, match=key[:5]):
+        fusion_system_from_dict(obj)
+
+
 def test_dumps_canonical_is_deterministic():
     a = dumps_canonical({"b": [1, 2], "a": {"y": 0.5, "x": 3}})
     b = dumps_canonical({"a": {"x": 3, "y": 0.5}, "b": [1, 2]})

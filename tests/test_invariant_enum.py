@@ -86,13 +86,13 @@ def test_twist_classes_partition(su2):
 
 
 def test_commutant_basis_determines_free_cells(enum, md):
-    # every invariant is C @ (its pivot values) on the free cells
-    cells, C, _, pivots, bounds, mode = commutant_basis(md(16))
-    assert mode == "rational"
+    # every invariant is K @ (its pivot values) / D on the free cells, exactly
+    cells, K, D, pivots, bounds = commutant_basis(md(16))
+    assert K.dtype == np.int64
     for Z in enum(16).invariants:
-        vals = np.array([Z[a, b] for a, b in cells], dtype=float)
-        assert np.max(np.abs(C @ vals[pivots] - vals)) < 1e-8
-        assert np.all(vals <= bounds + 1e-9)
+        vals = np.array([Z[a, b] for a, b in cells], dtype=np.int64)
+        assert np.array_equal(K @ vals[pivots], D * vals)
+        assert np.all(vals <= bounds)
     # everything off the free cells vanishes
     free = set(cells)
     for Z in enum(16).invariants:
@@ -100,6 +100,40 @@ def test_commutant_basis_determines_free_cells(enum, md):
             for b in range(17):
                 if (a, b) not in free:
                     assert Z[a, b] == 0
+
+
+@pytest.mark.parametrize("levels, nodes", [
+    ((4,), 3), ((16,), 21), ((28,), 48), ((42,), 13), ((56,), 3),
+    ((6, 6), 329)])
+def test_search_node_counts(levels, nodes):
+    # recorded before the search moved to integers; any change in what
+    # the pruning rules cut shows up here
+    systems = [gen_su2(k) for k in levels]
+    F = systems[0] if len(systems) == 1 else product_system(*systems)
+    assert enumerate_invariants(modular_data(F)).nodes == nodes
+
+
+def test_vacuum_is_first_pivot(md):
+    for k in range(1, 61):
+        cells, _, _, pivots, _ = commutant_basis(md(k))
+        assert cells[pivots[0]] == (0, 0), k
+
+
+def test_irrational_basis_raises(monkeypatch):
+    # an extra equation Z[0, 16] = sqrt(2) Z[2, 14] leaves a commutant
+    # with no rational basis; the search must refuse it, not snap it
+    equations = ie.commutant_equations
+
+    def with_irrational_row(S, cells):
+        A = equations(S, cells)
+        row = np.zeros((1, A.shape[1]))
+        row[0, cells.index((0, 16))] = 1.0
+        row[0, cells.index((2, 14))] = -np.sqrt(2)
+        return np.vstack([A, row])
+
+    monkeypatch.setattr(ie, "commutant_equations", with_irrational_row)
+    with pytest.raises(EnumerationError, match="not rational"):
+        enumerate_invariants(modular_data(gen_su2(16)))
 
 
 def test_commutant_basis_memory():
