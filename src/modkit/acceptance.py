@@ -122,7 +122,7 @@ def _same_set(got, want) -> bool:
             and all(np.array_equal(a, b) for a, b in zip(got, want)))
 
 
-_CHUNK = 1 << 13        # brute-force candidates per chunk
+_CHUNK = 1 << 13        # most candidates in one suffix block
 _SCREEN_ROWS = 8        # equation rows every candidate meets first
 
 
@@ -132,12 +132,17 @@ def _brute_force(md) -> list[np.ndarray]:
     Cells with unequal twists are forced to zero exactly, the vacuum
     cell is pinned to 1, and each remaining candidate is kept when every
     entry of S Z - Z S has complex modulus below 1e-6.  The candidates,
-    the Cartesian product of the cell ranges, are walked in C order in
-    chunks of flat indices, so memory does not grow with their number.
-    Each chunk first meets the few real or imaginary equation rows with
-    the most non-zeros: a part of at least 1e-6 means a modulus of at
-    least 1e-6, so this screen only rejects, and every survivor gets the
-    full check on all n^2 entries.  Only practical for small rank.
+    the Cartesian product of the cell ranges, are walked in C order as
+    prefix x suffix: the suffix is the longest run of trailing cells
+    whose ranges multiply to at most _CHUNK, laid out once as a block,
+    and the prefix cells are walked one value tuple at a time, so memory
+    does not grow with the number of candidates.  Every candidate first
+    meets the few real or imaginary equation rows with the most
+    non-zeros, one row at a time on the candidates the rows before it
+    kept; a row's value is the block's part (computed once) plus the
+    prefix's part.  A part of at least 1e-6 means a modulus of at least
+    1e-6, so this screen only rejects, and every survivor gets the full
+    check on all n^2 entries.  Only practical for small rank.
     """
     tol = 1e-6
     F = md.system
@@ -149,15 +154,28 @@ def _brute_force(md) -> list[np.ndarray]:
     shape = [1 if (a, b) == (0, 0)
              else int(np.floor(F.d[a] * F.d[b] + 1e-9)) + 1
              for a, b in cells]
-    vacuum = cells.index((0, 0))
+    # least value of each cell: the vacuum's one value is 1, others start at 0
+    low = np.array([(a, b) == (0, 0) for a, b in cells], dtype=np.float64)
+    cut = len(cells)
+    while cut and math.prod(shape[cut - 1:]) <= _CHUNK:
+        cut -= 1
+    block = (np.indices(shape[cut:]).reshape(len(cells) - cut, -1)
+             + low[cut:, None])
+    block_screen = screen[:, cut:] @ block
     where = tuple(np.array(cells).T)
-    total = math.prod(shape)
     sols = []
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        X = np.array(np.unravel_index(flat, shape), dtype=np.float64)
-        X[vacuum] = 1.0
-        X = X[:, np.max(np.abs(screen @ X), axis=0) < tol]
+    for head in np.ndindex(*shape[:cut]):
+        head = np.array(head, dtype=np.float64) + low[:cut]
+        part = screen[:, :cut] @ head
+        idx = np.flatnonzero(np.abs(block_screen[0] + part[0]) < tol)
+        for row in range(1, len(screen)):
+            if not idx.size:
+                break
+            idx = idx[np.abs(block_screen[row, idx] + part[row]) < tol]
+        if not idx.size:
+            continue
+        X = np.vstack([np.repeat(head[:, None], idx.size, axis=1),
+                       block[:, idx]])
         R = A @ X
         keep = np.max(np.hypot(R[:nn], R[nn:]), axis=0) < tol
         for values in X[:, keep].T.astype(np.int64):

@@ -39,9 +39,10 @@ def _write(path: str, obj: dict) -> None:
 def _read(path: str, expected_format: str) -> dict:
     with open(path) as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or obj.get("format") != expected_format:
+    got = obj.get("format") if isinstance(obj, dict) else type(obj).__name__
+    if got != expected_format:
         raise ValueError(f"{path}: expected format {expected_format!r}, "
-                         f"got {obj.get('format')!r}")
+                         f"got {got!r}")
     if obj.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {obj.get('version')!r}")
     return obj
@@ -53,12 +54,24 @@ def _twists_out(F: FusionSystem):
     return [[t.numerator, t.denominator] for t in F.twists]
 
 
+def _field(obj: dict, key: str, kind: type):
+    """obj[key], which must be present and of exactly the type kind."""
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    if type(obj[key]) is not kind:
+        raise ValueError(f"field {key!r} must be of type {kind.__name__}, "
+                         f"not {type(obj[key]).__name__}")
+    return obj[key]
+
+
 def _twists_in(raw):
     if raw is None:
         return None
+    if type(raw) is not list:
+        raise ValueError("twists must be a list of [num, den] pairs or null")
     for pair in raw:
-        if (len(pair) != 2 or any(type(x) is not int for x in pair)
-                or not pair[1]):
+        if (type(pair) is not list or len(pair) != 2
+                or any(type(x) is not int for x in pair) or not pair[1]):
             raise ValueError(f"twist {pair} is not [num, den] with integers "
                              f"and den != 0")
     return [Fraction(num, den) for num, den in raw]
@@ -80,22 +93,30 @@ def fusion_system_dict(F: FusionSystem) -> dict:
 
 
 def fusion_system_from_dict(obj: dict) -> FusionSystem:
-    n = int(obj["rank"])
-    labels = obj["labels"]
-    if len(labels) != n:
-        raise ValueError("rank does not match number of labels")
+    """Validate and build; any malformed field raises ValueError."""
+    n = _field(obj, "rank", int)
+    labels = _field(obj, "labels", list)
+    if n < 1 or len(labels) != n:
+        raise ValueError(f"rank {n} must be positive and match the "
+                         f"{len(labels)} labels")
+    if len({str(x) for x in labels}) != n:
+        raise ValueError("labels must be distinct")
     N = np.zeros((n, n, n), dtype=np.int64)
-    for quad in obj["fusion"]:
-        if (len(quad) != 4 or any(type(x) is not int for x in quad)
-                or not all(0 <= x < n for x in quad[:3])):
+    int64 = np.iinfo(np.int64)
+    for quad in _field(obj, "fusion", list):
+        if (type(quad) is not list or len(quad) != 4
+                or any(type(x) is not int for x in quad)
+                or not all(0 <= x < n for x in quad[:3])
+                or not int64.min <= quad[3] <= int64.max):
             raise ValueError(f"fusion entry {quad} is not [a, b, c, N] with "
-                             f"integers and labels a, b, c in 0..{n - 1}")
+                             f"integers, labels a, b, c in 0..{n - 1} and N "
+                             f"in int64")
         i, j, k, v = quad
         N[i, j, k] = v
-    if any(type(x) is not int for x in obj["conjugation"]):
+    conj = _field(obj, "conjugation", list)
+    if any(type(x) is not int for x in conj):
         raise ValueError("conjugation must list integer labels")
-    return make_fusion_system(labels, N, obj["conjugation"],
-                              _twists_in(obj.get("twists")))
+    return make_fusion_system(labels, N, conj, _twists_in(obj.get("twists")))
 
 
 def save_fusion_system(F: FusionSystem, path: str) -> None:

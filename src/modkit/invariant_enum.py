@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from mpmath.libmp import dps_to_prec, fzero, to_fixed
 
 from .fusion_core import FusionSystem, is_permutation_matrix
 from .modular_data import MP_DPS, ModularData, modular_data_mp
@@ -65,6 +66,9 @@ GAP_KEEP = 1e-4      # singular values above GAP_KEEP * smax are rank
 SNAP_TOL = 1e-8      # float-to-rational snap acceptance
 SNAP_DEN = 1000      # largest denominator of a snapped basis entry, and of D
 MP_TOL = 1e-25       # residual bound of the MP_DPS-digit recheck
+# fraction bits of the fixed-point S in the recheck: MP_DPS digits of
+# mantissa plus 56 bits, so entries down to 2^-56 are read exactly
+FIXED_BITS = dps_to_prec(MP_DPS) + 56
 # One copy of the commutant equations may take this much; the basis holds
 # two (its own and the QR's).  su(2)_10 x su(2)_10 needs 183 MiB per copy,
 # su(2)_12 x su(2)_12 482 MiB and su(2)_13 x su(2)_13 897 MiB.
@@ -315,29 +319,35 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
 
 
 def _mp_residual(S_mp, Z: np.ndarray) -> float:
-    """max |S Z - Z S| over all n^2 entries, at MP_DPS digits.
+    """max |S Z - Z S| over all n^2 entries for the MP_DPS-digit S.
 
-    Z has about n non-zeros, so the residual is summed from them alone:
-    Z[k, j] = v adds v S[:, k] to column j of S Z and v S[j, :] to row
-    k of Z S.
+    S is read once per call into Gaussian fixed-point integers with
+    FIXED_BITS fraction bits.  `to_fixed` floors, so each part of an
+    entry moves by less than 2^-FIXED_BITS, and an entry of modulus at
+    least 2^-56 keeps every bit it has at MP_DPS digits.  Z has about n
+    non-zeros, so the residual is summed from them alone, in Python
+    integers with no rounding: Z[k, j] = v adds v S[:, k] to column j of
+    S Z and v S[j, :] to row k of Z S.  Entry (i, j) of the result is
+    therefore within (|Z[:, j]|_1 + |Z[i, :]|_1) 2^(1/2 - FIXED_BITS) of
+    the residual of the MP_DPS-digit S, and the final integer square
+    root floors by less than 2^-FIXED_BITS more.
     """
-    import mpmath as mp
-
     n = Z.shape[0]
-    rows = S_mp.tolist()
-    cols = [list(c) for c in zip(*rows)]
-    with mp.workdps(MP_DPS):
-        R = [[mp.mpc(0)] * n for _ in range(n)]
-        for k, j in zip(*np.nonzero(Z)):
-            v = int(Z[k, j])
-            col, row = cols[k], rows[j]
-            if v != 1:
-                col, row = [v * x for x in col], [v * x for x in row]
-            Rk = R[k]
-            for i in range(n):
-                R[i][j] += col[i]
-                Rk[i] -= row[i]
-        return float(max(abs(x) for x in itertools.chain(*R)))
+    S = np.empty((2, n, n), dtype=object)
+    for i, row in enumerate(S_mp.tolist()):
+        for j, x in enumerate(row):
+            re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+            S[0, i, j] = to_fixed(re, FIXED_BITS)
+            S[1, i, j] = to_fixed(im, FIXED_BITS)
+    R = np.zeros((2, n, n), dtype=object)
+    for k, j in zip(*np.nonzero(Z)):
+        v = int(Z[k, j])
+        col, row = S[:, :, k], S[:, j, :]
+        if v != 1:
+            col, row = v * col, v * row
+        R[:, :, j] += col
+        R[:, k, :] -= row
+    return math.isqrt(int((R * R).sum(axis=0).max())) / 2 ** FIXED_BITS
 
 
 def matrix_stats(Z: np.ndarray) -> dict:

@@ -98,13 +98,12 @@ def mckay_series(graph: Graph, J: int) -> KostantSeries:
         n[1] = adj @ n[0]
     for j in range(1, J):
         n[j + 1] = adj @ n[j] - n[j - 1]
-    for j in range(J + 1):
-        bad = np.where((n[j] < 0) | (n[j] > j + 1))[0]
-        if bad.size:
-            g = int(bad[0])
-            raise McKayGraphError(
-                f"graph is not a McKay graph: n_{j}^{g} = {int(n[j, g])} "
-                f"outside [0, {j + 1}]")
+    bad = np.argwhere((n < 0) | (n > _degree_bound(J)))
+    if bad.size:
+        j, g = (int(x) for x in bad[0])
+        raise McKayGraphError(
+            f"graph is not a McKay graph: n_{j}^{g} = {int(n[j, g])} "
+            f"outside [0, {j + 1}]")
     n.setflags(write=False)
     return KostantSeries(graph=graph, J=J, n=n)
 
@@ -119,16 +118,15 @@ def verify_series(series: KostantSeries) -> Report:
     start[series.graph.star] = 1
     checks.append(Check("start-indicator", np.array_equal(n[0], start),
                         "n_0 = indicator of the extension vertex"))
-    dev = 0
-    for j in range(J):
-        prev = n[j - 1] if j >= 1 else 0
-        dev = max(dev, int(np.max(np.abs(adj @ n[j] - prev - n[j + 1]))))
+    prev = np.zeros_like(n[:J])
+    prev[1:] = n[:J - 1]
+    dev = int(np.max(np.abs(n[:J] @ adj.T - prev - n[1:])))
     checks.append(Check("three-term-identity", dev == 0,
                         f"A_hat n_j = n_(j-1) + n_(j+1) to order {J - 1}, "
                         f"max deviation {dev}"))
     checks.append(Check("non-negative", (n >= 0).all()))
-    bound_ok = all((n[j] <= j + 1).all() for j in range(J + 1))
-    checks.append(Check("entry-bound", bound_ok, "n_j^g <= j + 1"))
+    checks.append(Check("entry-bound", (n <= _degree_bound(J)).all(),
+                        "n_j^g <= j + 1"))
     marks = mckay_marks(series.graph)
     totals = n @ marks
     want = np.arange(1, J + 2, dtype=np.int64)
@@ -139,9 +137,15 @@ def verify_series(series: KostantSeries) -> Report:
                         f"J = {J})", checks=tuple(checks))
 
 
+def _degree_bound(J: int) -> np.ndarray:
+    """Column of j + 1 for 0 <= j <= J, the bound on n_j^g."""
+    return np.arange(1, J + 2, dtype=np.int64)[:, None]
+
+
 def _product_coeffs(f: np.ndarray, r: int, s: int) -> np.ndarray:
-    """Coefficients of f(q) (1 - q^r)(1 - q^s) up to the order of f."""
-    p = f.astype(np.int64).copy()
+    """Coefficients of f(q) (1 - q^r)(1 - q^s) up to the order of f,
+    degrees along axis 0 (one series per column)."""
+    p = f.astype(np.int64)
     p[r:] -= f[:-r]
     p[s:] -= f[:-s]
     p[r + s:] += f[:-(r + s)]
@@ -164,24 +168,23 @@ def kostant_poly(series: KostantSeries, r: int,
     if series.J < 2 * h + r + s:
         raise ValueError(f"truncation {series.J} < 2h + r + s = "
                          f"{2 * h + r + s}; not enough terms to certify")
-    J = series.J
-    polys: list[KostantPolynomial] = []
-    for g in range(series.graph.n_vertices):
-        p = _product_coeffs(series.n[:, g], r, s)
-        tail = p[h + 1:J - r - s + 1]
-        if tail.any():
-            i = h + 1 + int(np.nonzero(tail)[0][0])
+    p = _product_coeffs(series.n, r, s)
+    tail = p[h + 1:series.J - r - s + 1] != 0
+    head = p[:h + 1]
+    bad = tail.any(axis=0) | (head < 0).any(axis=0)
+    if bad.any():
+        g = int(np.argmax(bad))
+        if tail[:, g].any():
+            i = h + 1 + int(np.argmax(tail[:, g]))
             raise CertificationError(
                 f"(r, s) = ({r}, {s}): vertex {g} has residual "
-                f"coefficient {int(p[i])} at degree {i} > h = {h}")
-        head = p[:h + 1]
-        if (head < 0).any():
-            i = int(np.nonzero(head < 0)[0][0])
-            raise CertificationError(
-                f"(r, s) = ({r}, {s}): vertex {g} has negative "
-                f"coefficient {int(p[i])} at degree {i}")
-        polys.append(KostantPolynomial(vertex=g,
-                                       coeffs=tuple(int(c) for c in head)))
+                f"coefficient {int(p[i, g])} at degree {i} > h = {h}")
+        i = int(np.argmax(head[:, g] < 0))
+        raise CertificationError(
+            f"(r, s) = ({r}, {s}): vertex {g} has negative "
+            f"coefficient {int(p[i, g])} at degree {i}")
+    polys = [KostantPolynomial(vertex=g, coeffs=tuple(c))
+             for g, c in enumerate(head.T.tolist())]
     star = polys[series.graph.star].coeffs
     want = tuple(1 if i in (0, h) else 0 for i in range(h + 1))
     if star != want:
@@ -226,10 +229,6 @@ def find_rs(series: KostantSeries, h: int,
                                 f"h = {h})", checks=tuple(checks))
 
 
-def _pad(a: np.ndarray, length: int) -> np.ndarray:
-    return np.pad(np.asarray(a, dtype=np.int64), (0, length - len(a)))
-
-
 def nimrep_match(graph: Graph, series: KostantSeries,
                  r: int, s: int) -> Report:
     """Kostant polynomial coefficients against nimrep generator entries.
@@ -251,7 +250,8 @@ def nimrep_match(graph: Graph, series: KostantSeries,
     soft = graph.name.upper().startswith("A")
     polys = kostant_poly(series, r, s)
     width = h + 3
-    P = np.stack([_pad(p.coeffs, width) for p in polys])
+    P = np.zeros((len(polys), width), dtype=np.int64)
+    P[:, :h + 1] = [p.coeffs for p in polys]
     adj_hat = series.graph.adjacency.astype(np.int64)
     star = series.graph.star
     checks: list[Check] = []
@@ -266,11 +266,8 @@ def nimrep_match(graph: Graph, series: KostantSeries,
     lhs[:, 1:] = AP[:, :-1]
     rhs = P.copy()                          # (q^2 + 1) p
     rhs[:, 2:] += P[:, :-2]
-    dev = 0
-    for g in range(series.graph.n_vertices):
-        if g == star:
-            continue
-        dev = max(dev, int(np.max(np.abs(lhs[g] - rhs[g]))))
+    off = np.arange(len(P)) != star
+    dev = int(np.max(np.abs(lhs[off] - rhs[off]), initial=0))
     checks.append(Check("recursion-rows", dev == 0,
                         f"q (A_hat p)_g = (q^2 + 1) p_g off the extension "
                         f"vertex, max deviation {dev}"))
@@ -310,10 +307,9 @@ def nimrep_match(graph: Graph, series: KostantSeries,
                             skipped=True))
     else:
         nim = build_nimrep_su2(graph, k)
-        for g in range(graph.n_vertices):
-            want = np.zeros(width, dtype=np.int64)
-            for j in range(k + 1):
-                want[j + 1] = nim.G[j][iota, g]
+        W = np.zeros((graph.n_vertices, width), dtype=np.int64)
+        W[:, 1:k + 2] = np.array([G[iota] for G in nim.G[:k + 1]]).T
+        for g, want in enumerate(W):
             ok = np.array_equal(P[g], want)
             soft_check(f"coefficients[{g}]", ok,
                        f"p_{g} = {format_poly(P[g])}"

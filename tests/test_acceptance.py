@@ -57,6 +57,12 @@ def test_brute_force_matches_oracle(md, k):
         _as_sorted(brute_force_invariants(k))
 
 
+@pytest.mark.parametrize("k", [8, 9])
+def test_brute_force_matches_enumeration(md, enum, k):
+    # 338,060,800 and 41,879,552 candidates, each one screened
+    assert _as_sorted(_brute_force(md(k))) == _as_sorted(enum(k).invariants)
+
+
 def test_brute_force_memory(md):
     # k = 6 has 129,024 candidates of 9 cells; holding them all at once,
     # with their products, takes about 36 MiB

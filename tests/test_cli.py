@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +249,29 @@ def test_ising_brute_force_equals_direct_sum_exactly():
             for beta in (0.0, 0.3, 1.0):
                 assert ising_partition(M, N, beta)[0] == \
                     ising_direct(M, N, beta), (M, N, beta)
+
+
+# sha256 of the lines repr((z_brute, z_trace)) over criterion 9's 150
+# tori and four antiferromagnetic ones: both evaluations, bit for bit
+ISING_PAIRS_SHA256 = \
+    "6b9a52e29835c271af9f81fe65b6c48c146b54723d31c4f67f2c0ca49bd6bdd5"
+
+
+def test_ising_pairs_bit_for_bit():
+    cases = [(M, N, beta, 1.0) for M in range(1, 17)
+             for N in range(1, 16 // M + 1) for beta in (0.0, 0.3, 1.0)]
+    cases += [(M, N, 0.4, -0.5) for M, N in ((4, 5), (3, 6), (2, 9), (17, 1))]
+    text = "\n".join(repr(ising_partition(*case)) for case in cases)
+    assert len(cases) == 154
+    assert hashlib.sha256(text.encode()).hexdigest() == ISING_PAIRS_SHA256
+
+
+def test_ising_scan_script_runs():
+    script = Path(__file__).parents[1] / "scripts" / "ising_scan.py"
+    p = subprocess.run([sys.executable, str(script), "--m", "3", "--n", "3",
+                        "--betas", "0.4"], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert "torus 3 x 3" in p.stdout
 
 
 def test_ising_wide_strip_memory():

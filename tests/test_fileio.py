@@ -125,7 +125,8 @@ def test_fractional_coupling_matrix_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("quad", [[0, 4, 4, 1], [-1, 0, 0, 1],
-                                  [0, 0, 0], [0, 0, 0, 1.5]])
+                                  [0, 0, 0], [0, 0, 0, 1.5],
+                                  [0, 0, 0, 2 ** 70], 7])
 def test_malformed_fusion_entry_rejected(su2, quad):
     obj = fusion_system_dict(su2(3))
     obj["fusion"].append(quad)
@@ -135,12 +136,66 @@ def test_malformed_fusion_entry_rejected(su2, quad):
 
 @pytest.mark.parametrize("key, value", [("twists", [1.5, 2]),
                                         ("twists", [1, 0]),
+                                        ("twists", 5),
                                         ("conjugation", 1.7)])
 def test_malformed_twist_or_conjugation_rejected(su2, key, value):
     obj = fusion_system_dict(su2(3))
     obj[key][1] = value
     with pytest.raises(ValueError, match=key[:5]):
         fusion_system_from_dict(obj)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("labels", ["0", "0", "2", "3"], "distinct"),
+    ("labels", 4, "'labels' must be of type list"),
+    ("fusion", 7, "'fusion' must be of type list"),
+])
+def test_malformed_field_rejected(su2, key, value, match):
+    obj = fusion_system_dict(su2(3))
+    obj[key] = value
+    with pytest.raises(ValueError, match=match):
+        fusion_system_from_dict(obj)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=2)
+    | st.integers() | st.sampled_from([-1, 0, 1, 3, 4, 2 ** 63, 2 ** 70]),
+    lambda inner: st.lists(inner, max_size=5), max_leaves=8)
+
+
+def _mutate(obj: dict, data) -> None:
+    """Replace or delete one top-level field, list element or nested
+    element of obj, chosen by data."""
+    parent, key = obj, data.draw(st.sampled_from(sorted(obj)))
+    while (isinstance(parent[key], list) and parent[key]
+           and data.draw(st.booleans())):
+        parent = parent[key]
+        key = data.draw(st.integers(0, len(parent) - 1))
+    if data.draw(st.booleans()):
+        parent[key] = data.draw(_JSON)
+    else:
+        del parent[key]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_fusion_system_loads_or_raises_value_error(data):
+    # every malformed file must end in ValueError, which the command line
+    # reports as "error: ..." with exit code 1, never a traceback
+    obj = fusion_system_dict(gen_su2(3))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(obj, data)
+    try:
+        fusion_system_from_dict(obj)
+    except ValueError:
+        pass
+
+
+def test_non_object_file_rejected(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="expected format"):
+        load_fusion_system(str(p))
 
 
 def test_dumps_canonical_is_deterministic():

@@ -204,6 +204,19 @@ def test_mp_recheck_rejects_float_sized_error(monkeypatch):
         enumerate_invariants(modular_data(F))
 
 
+def test_mp_residual_resolution():
+    # one entry of the 40-digit S moved by 1e-20 reads as 1e-20, and the
+    # identity, whose S Z and Z S are the same sums, reads exactly zero
+    F = gen_su2(16)
+    S_mp = modular_data_mp(F)[0]
+    with mp.workdps(MP_DPS):
+        S_bad = S_mp.copy()
+        S_bad[0, 16] += mp.mpf("1e-20")
+    got = _mp_residual(S_bad, coupling_forms(16)["pair-blocks"])
+    assert 0.5e-20 <= got <= 2e-20
+    assert _mp_residual(S_bad, np.eye(F.n, dtype=np.int64)) == 0.0
+
+
 def test_permutation_detection(enum):
     invs = enum(6).invariants
     perms = [Z for Z in invs if is_permutation_matrix(Z)]

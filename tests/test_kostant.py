@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,45 @@ def test_format_poly():
     assert format_poly([0, 1, 1]) == "q + q^2"
     assert format_poly([0, 0, 2]) == "2*q^2"
     assert format_poly([0]) == "0"
+
+
+# sha256 of the CertificationError messages, joined by newlines, of every
+# pair r <= s with r + s <= h + 2 that fails to certify, per graph
+FIRST_OFFENDER_SHA256 = {
+    "A1": "4ab002bb2ac3d0a8f2addd50995ff4cbf343ae97f89f29a84b553253b68e6d2d",
+    "A2": "4a94833d3461855a22cafa3c5331e78ae4568576bfa3ab6c1b9277fd082b09e3",
+    "A3": "2c30c9e6b1ed546db47b0eb412293f114a8b35060777dcc67da67aba60d031cc",
+    "A4": "c6ca96b51d24901599786a4b77b37bf71cf481ad438035465228da0a4198cbec",
+    "A5": "895ea1101988a79ecd8c9458b0b1350d36bef6c386527a7358e5f3af3626d448",
+    "A6": "061b56e60796885684764f9b6bcfe3c519d4f9e64cfc10e3a74ddc94cbf5ea5b",
+    "A7": "04f7e82e05b335ff2b9e1f429cec065b82fe6e6df32f5fe05e20c7bc678dbd74",
+    "A8": "729b9ffd6d49f4e9bc2b1e3aee0250ebdae6779e861ebcea1ca7ee7e3b2d43d7",
+    "D4": "220b4efcda08090979f4fee866307213d1206d8bf890e4dd21f902ed80b85b97",
+    "D5": "df8ae5c5fc1754628d51b2cb17f4ce9616bf40c674e6a52df82d679553359c7a",
+    "D6": "2600d7479269e8e622c1fbaaf4d956ae55ee8fae0f99d79af1743e94a3b030bc",
+    "D7": "08ea30c9f7455a671c8e2cc6df988ca2239c481e1876a6c0dbd6cdee7ff2cb0f",
+    "D8": "8803c844cc567f29d454c211552fda1d7ab9df464374b84003a1d5f53920c874",
+    "E6": "bf1b5e3e836ec4dd17958d59ea78f5b0a645eb72bb0a8d72210e11a606dd7f1e",
+    "E7": "afaf44d53f78a599ce21e4602d3c6974a1e6a36f2e55743cfd9b7c7bf9cd4349",
+    "E8": "d1edd11a68f4115d0da5d3107e292d95624468d774a38f1f2b3b8ef56492634c",
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_first_offender_messages(name):
+    # each message names the first failing vertex and degree; 701 in all,
+    # with both the residual-tail and the negative-coefficient kinds
+    h = graph_meta(name).coxeter
+    series = mckay_series(affine_ade(name), 3 * h + 4)
+    messages = []
+    for r in range(1, h + 2):
+        for s in range(r, h + 3 - r):
+            try:
+                kostant_poly(series, r, s)
+            except CertificationError as exc:
+                messages.append(str(exc))
+    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+    assert digest == FIRST_OFFENDER_SHA256[name]
 
 
 def test_suite_ok_flag():
