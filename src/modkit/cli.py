@@ -16,14 +16,14 @@ import numpy as np
 
 from . import __version__
 from .acceptance import render_lines, run_all
-from .catalog import ade_graph, gen_su2, graph_meta, list_catalog
+from .catalog import ade_graph, affine_ade, gen_su2, graph_meta, list_catalog
 from .chiral_analysis import (chiral_norm_check, commutant_check,
                               degenerate_invariant, global_indices,
                               lr_counting)
 from .fileio import (catalog_dict, dumps_canonical, graph_dict,
                      load_coupling_matrix, load_fusion_system,
-                     load_invariant_catalog, modular_data_dict,
-                     save_invariant_catalog)
+                     load_invariant_catalog, modular_data_dict, save_graph,
+                     save_invariant_catalog, save_modular_data)
 from .invariant_enum import (build_records, enumerate_invariants,
                              matrix_stats, type_I_factor)
 # ising_partition is re-exported: perfbench imports it from this module
@@ -77,7 +77,6 @@ def _cmd_catalog(args) -> int:
         g = affine_or_ordinary(args.graph, args.affine)
         obj = graph_dict(g)
         if args.out:
-            from .fileio import save_graph
             save_graph(g, args.out)
         _emit(args, [dumps_canonical(obj).rstrip("\n")], obj)
         return 0
@@ -93,7 +92,6 @@ def _cmd_catalog(args) -> int:
 
 
 def affine_or_ordinary(name: str, affine: bool):
-    from .catalog import affine_ade
     if name.endswith("^"):
         name, affine = name[:-1], True
     return affine_ade(name) if affine else ade_graph(name)
@@ -104,7 +102,6 @@ def _cmd_modular(args) -> int:
     md = modular_data(F)
     reports = [verify_modular(md, tol=args.tolerance), verlinde_check(md)]
     if args.out:
-        from .fileio import save_modular_data
         save_modular_data(md, args.out)
     obj = modular_data_dict(md)
     obj["reports"] = [_report_obj(r) for r in reports]
@@ -163,10 +160,9 @@ def _cmd_nimrep(args) -> int:
         lines.append(f"G_{j} =")
         lines += _matrix_lines(G)
     if args.against:
-        obj = load_invariant_catalog(args.against)
-        match = [np.array(rec["Z"], dtype=np.int64)
-                 for rec in obj["invariants"]
-                 if int(rec["trace"]) == g.n_vertices]
+        obj = load_invariant_catalog(args.against, n=F.n)
+        Zs = (np.array(rec["Z"], dtype=np.int64) for rec in obj["invariants"])
+        match = [Z for Z in Zs if np.trace(Z) == g.n_vertices]
         if not match:
             print(f"no record in {args.against} has trace "
                   f"{g.n_vertices}", file=sys.stderr)
@@ -210,10 +206,7 @@ def _cmd_kostant(args) -> int:
 
 def _cmd_chiral(args) -> int:
     F, sys_id = _resolve_system(args)
-    Z = load_coupling_matrix(args.invariant)
-    if Z.shape[0] != F.n:
-        raise ValueError(f"coupling matrix is {Z.shape[0]}x{Z.shape[1]} but "
-                         f"the system has {F.n} sectors")
+    Z = load_coupling_matrix(args.invariant, n=F.n)
     gi = global_indices(Z, F.d)
     reports = [commutant_check(F, Z), chiral_norm_check(F, Z,
                                                         tol=args.tolerance),

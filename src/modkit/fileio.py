@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import Graph
+from .catalog import Graph, graph_meta
 from .fusion_core import FusionSystem, make_fusion_system
-from .modular_data import ModularData, _assemble
+from .modular_data import ModularData, modular_data
 
 FORMAT_VERSION = 1
 
@@ -46,12 +46,6 @@ def _read(path: str, expected_format: str) -> dict:
     if obj.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {obj.get('version')!r}")
     return obj
-
-
-def _twists_out(F: FusionSystem):
-    if F.twists is None:
-        return None
-    return [[t.numerator, t.denominator] for t in F.twists]
 
 
 def _field(obj: dict, key: str, kind: type):
@@ -88,7 +82,8 @@ def fusion_system_dict(F: FusionSystem) -> dict:
         "rank": F.n,
         "fusion": quads,
         "conjugation": list(F.conj),
-        "twists": _twists_out(F),
+        "twists": None if F.twists is None else [[t.numerator, t.denominator]
+                                                 for t in F.twists],
     }
 
 
@@ -128,13 +123,9 @@ def load_fusion_system(path: str) -> FusionSystem:
 
 
 def modular_data_dict(md: ModularData) -> dict:
-    obj = fusion_system_dict(md.system)
-    obj["format"] = "modular-data"
-    obj["S_re"] = md.S.real.tolist()
-    obj["S_im"] = md.S.imag.tolist()
-    obj["z"] = [md.z.real, md.z.imag]
-    obj["c"] = md.c
-    return obj
+    return {**fusion_system_dict(md.system), "format": "modular-data",
+            "S_re": md.S.real.tolist(), "S_im": md.S.imag.tolist(),
+            "z": [md.z.real, md.z.imag], "c": md.c}
 
 
 def save_modular_data(md: ModularData, path: str) -> None:
@@ -142,13 +133,24 @@ def save_modular_data(md: ModularData, path: str) -> None:
 
 
 def load_modular_data(path: str) -> ModularData:
+    """modular_data of the file's fusion system.  The stored S_re, S_im, z
+    and c must agree with it to 1e-9, or ValueError names the field."""
     obj = _read(path, "modular-data")
-    obj2 = dict(obj)
-    obj2["format"] = "fusion-system"
-    F = fusion_system_from_dict(obj2)
-    S = np.array(obj["S_re"]) + 1j * np.array(obj["S_im"])
-    z = complex(obj["z"][0], obj["z"][1])
-    return _assemble(F, S, z, float(obj["c"]))
+    md = modular_data(fusion_system_from_dict(obj))
+    for key, want in (("S_re", md.S.real), ("S_im", md.S.imag),
+                      ("z", [md.z.real, md.z.imag]), ("c", md.c)):
+        try:
+            got = np.array(obj[key], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            got = None
+        if got is None or got.shape != np.shape(want):
+            raise ValueError(f"field {key!r} must hold numbers of shape "
+                             f"{np.shape(want)}")
+        dev = float(np.max(np.abs(got - want)))
+        if not dev <= 1e-9:
+            raise ValueError(f"field {key!r} is {dev:.3g} from the modular "
+                             f"data of the fusion system")
+    return md
 
 
 def graph_dict(g: Graph) -> dict:
@@ -162,7 +164,6 @@ def graph_dict(g: Graph) -> dict:
         "iota": g.iota,
     }
     try:
-        from .catalog import graph_meta
         meta = graph_meta(g.name)
     except ValueError:
         pass
@@ -182,12 +183,9 @@ def save_graph(g: Graph, path: str) -> None:
 
 def load_graph(path: str) -> Graph:
     obj = _read(path, "graph")
-    adj = np.array(obj["adjacency"], dtype=np.int64)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
+    adj = _int_matrix(obj.get("adjacency"), "adjacency")
     if not np.array_equal(adj, adj.T):
         raise ValueError("adjacency must be symmetric")
-    adj.setflags(write=False)
     star = obj["star"]
     return Graph(name=obj["name"], adjacency=adj, affine=bool(obj["affine"]),
                  star=None if star is None else int(star), iota=int(obj["iota"]))
@@ -201,15 +199,28 @@ def save_coupling_matrix(Z: np.ndarray, path: str) -> None:
     })
 
 
-def load_coupling_matrix(path: str) -> np.ndarray:
-    obj = _read(path, "coupling-matrix")
-    Z = np.array(obj["Z"])
+def _int_matrix(raw, what: str, n: int | None = None) -> np.ndarray:
+    """Read-only int64 matrix from JSON data that must be square, integer,
+    non-negative and, when n is given, n x n; ValueError names `what`."""
+    try:
+        Z = np.array(raw)
+    except ValueError:                    # ragged nesting
+        Z = np.array(None)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise ValueError("Z must be a square matrix")
+        raise ValueError(f"{what} must be a square matrix")
     if Z.dtype != np.int64:
-        raise ValueError(f"Z entries must be integers, not {Z.dtype}")
+        raise ValueError(f"{what} entries must be integers, not {Z.dtype}")
+    if (Z < 0).any():
+        raise ValueError(f"{what} entries must be non-negative")
+    if n is not None and Z.shape[0] != n:
+        raise ValueError(f"{what} is {Z.shape[0]}x{Z.shape[1]} but the "
+                         f"system has {n} sectors")
     Z.setflags(write=False)
     return Z
+
+
+def load_coupling_matrix(path: str, n: int | None = None) -> np.ndarray:
+    return _int_matrix(_read(path, "coupling-matrix").get("Z"), "Z", n)
 
 
 def catalog_dict(header: dict, records: list[dict]) -> dict:
@@ -227,5 +238,10 @@ def save_invariant_catalog(obj: dict, path: str) -> None:
     _write(path, obj)
 
 
-def load_invariant_catalog(path: str) -> dict:
-    return _read(path, "invariant-catalog")
+def load_invariant_catalog(path: str, n: int | None = None) -> dict:
+    """The catalogue, whose every record must hold a valid Z (n x n)."""
+    obj = _read(path, "invariant-catalog")
+    for i, rec in enumerate(_field(obj, "invariants", list)):
+        Z = rec.get("Z") if type(rec) is dict else None
+        _int_matrix(Z, f"invariant {i}: Z", n)
+    return obj

@@ -23,9 +23,9 @@ Pipeline:
    pruning, the entry bounds, integrality of settled cells, and the
    identity d^T Z d = w, which follows from S Z S = Z C and
    Z[0, 0] = 1;
-5. verify every accepted matrix against S in float and again at high
-   precision via mpmath; a matrix that fails either check raises
-   EnumerationError.
+5. verify every accepted matrix against S in float and again, to
+   MP_TOL, against the 40-digit fixed-point S (modular_data_mp and
+   mp_residual); a matrix that fails either check raises EnumerationError.
 
 The search is exhaustive within the entry bounds, so the result is a
 complete catalogue, not a sample.  A node budget guards against
@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath.libmp import dps_to_prec, fzero, to_fixed
 
 from .fusion_core import FusionSystem, is_permutation_matrix
-from .modular_data import MP_DPS, ModularData, modular_data_mp
+from .modular_data import ModularData, modular_data_mp, mp_residual
 
 __all__ = [
     "EnumerationError",
@@ -63,12 +62,10 @@ __all__ = [
 
 GAP_DROP = 1e-8      # singular values below GAP_DROP * smax are null
 GAP_KEEP = 1e-4      # singular values above GAP_KEEP * smax are rank
+PIVOT_MIN = 0.05     # least norm of a pivot row of V off the earlier pivots
 SNAP_TOL = 1e-8      # float-to-rational snap acceptance
 SNAP_DEN = 1000      # largest denominator of a snapped basis entry, and of D
-MP_TOL = 1e-25       # residual bound of the MP_DPS-digit recheck
-# fraction bits of the fixed-point S in the recheck: MP_DPS digits of
-# mantissa plus 56 bits, so entries down to 2^-56 are read exactly
-FIXED_BITS = dps_to_prec(MP_DPS) + 56
+MP_TOL = 1e-25       # residual bound of the 40-digit recheck (mp_residual)
 # One copy of the commutant equations may take this much; the basis holds
 # two (its own and the QR's).  su(2)_10 x su(2)_10 needs 183 MiB per copy,
 # su(2)_12 x su(2)_12 482 MiB and su(2)_13 x su(2)_13 897 MiB.
@@ -159,7 +156,7 @@ def _nullspace(A: np.ndarray) -> np.ndarray:
 
 def _select_pivots(V: np.ndarray, cells: list[tuple[int, int]],
                    bounds: np.ndarray) -> list[int]:
-    """Greedy choice of dim well-spread rows of V.
+    """Greedy choice of dim rows of V, each PIVOT_MIN off the earlier ones.
 
     The vacuum cell comes first and is always picked: the normalised
     identity lies in the column span of V, so the vacuum row of V has
@@ -169,17 +166,16 @@ def _select_pivots(V: np.ndarray, cells: list[tuple[int, int]],
     """
     m, dim = V.shape
     order = sorted(range(m), key=lambda i: (cells[i] != (0, 0), bounds[i], cells[i]))
-    for threshold in (0.05, 1e-6):
-        picked: list[int] = []
-        Q = np.zeros((dim, 0))
-        for i in order:
-            r = V[i] - Q @ (Q.T @ V[i])
-            nr = float(np.linalg.norm(r))
-            if nr >= threshold:
-                picked.append(i)
-                Q = np.concatenate([Q, (r / nr)[:, None]], axis=1)
-                if len(picked) == dim:
-                    return picked
+    picked: list[int] = []
+    Q = np.zeros((dim, 0))
+    for i in order:
+        r = V[i] - Q @ (Q.T @ V[i])
+        nr = float(np.linalg.norm(r))
+        if nr >= PIVOT_MIN:
+            picked.append(i)
+            Q = np.concatenate([Q, (r / nr)[:, None]], axis=1)
+            if len(picked) == dim:
+                return picked
     raise EnumerationError("could not select a full pivot set; commutant basis "
                            "is numerically degenerate")
 
@@ -251,7 +247,7 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
 
     The search runs on X = D Z[cells] in exact integer arithmetic.  Each
     solution must commute with S to within tol in float arithmetic and
-    to MP_TOL at MP_DPS digits; a solution that fails either check
+    to MP_TOL at 40 digits; a solution that fails either check
     raises EnumerationError."""
     F = md.system
     n = F.n
@@ -299,14 +295,14 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
 
     # verify in float, then at high precision
     S = md.S
-    S_mp = modular_data_mp(F)[0]
+    S_mp = modular_data_mp(F)
     for Z in accepted:
         residual = float(np.max(np.abs(S @ Z - Z @ S)))
         if residual > tol:
             raise EnumerationError(
                 f"solution fails float commutant check: residual "
                 f"{residual:.3e} exceeds tolerance {tol:.3e}")
-        if _mp_residual(S_mp, Z) > MP_TOL:
+        if mp_residual(S_mp, Z) > MP_TOL:
             raise EnumerationError("solution fails high precision recheck; "
                                    "pipeline inconsistency")
         Z.setflags(write=False)
@@ -316,38 +312,6 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
         invariants=tuple(accepted), cells=tuple(cells),
         commutant_dim=dim, pivots=tuple(cells[i] for i in pivots),
         nodes=nodes)
-
-
-def _mp_residual(S_mp, Z: np.ndarray) -> float:
-    """max |S Z - Z S| over all n^2 entries for the MP_DPS-digit S.
-
-    S is read once per call into Gaussian fixed-point integers with
-    FIXED_BITS fraction bits.  `to_fixed` floors, so each part of an
-    entry moves by less than 2^-FIXED_BITS, and an entry of modulus at
-    least 2^-56 keeps every bit it has at MP_DPS digits.  Z has about n
-    non-zeros, so the residual is summed from them alone, in Python
-    integers with no rounding: Z[k, j] = v adds v S[:, k] to column j of
-    S Z and v S[j, :] to row k of Z S.  Entry (i, j) of the result is
-    therefore within (|Z[:, j]|_1 + |Z[i, :]|_1) 2^(1/2 - FIXED_BITS) of
-    the residual of the MP_DPS-digit S, and the final integer square
-    root floors by less than 2^-FIXED_BITS more.
-    """
-    n = Z.shape[0]
-    S = np.empty((2, n, n), dtype=object)
-    for i, row in enumerate(S_mp.tolist()):
-        for j, x in enumerate(row):
-            re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
-            S[0, i, j] = to_fixed(re, FIXED_BITS)
-            S[1, i, j] = to_fixed(im, FIXED_BITS)
-    R = np.zeros((2, n, n), dtype=object)
-    for k, j in zip(*np.nonzero(Z)):
-        v = int(Z[k, j])
-        col, row = S[:, :, k], S[:, j, :]
-        if v != 1:
-            col, row = v * col, v * row
-        R[:, :, j] += col
-        R[:, k, :] -= row
-    return math.isqrt(int((R * R).sum(axis=0).max())) / 2 ** FIXED_BITS
 
 
 def matrix_stats(Z: np.ndarray) -> dict:

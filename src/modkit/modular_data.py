@@ -16,6 +16,9 @@ A fusion system with twists need not be modular; verify_modular checks
 unitarity of S and T, T S T S T = S, that S^2 is the conjugation
 permutation, and (separately) the Verlinde reconstruction of the fusion
 coefficients.
+
+modular_data is the only constructor of ModularData; modular_data_mp is
+the only form of the high precision S, with mp_residual measured on it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, to_fixed
 
 from .fusion_core import FusionSystem, is_permutation_matrix
 from .reports import Check, Report
@@ -45,9 +49,13 @@ __all__ = [
     "verlinde_check",
     "degenerate_sectors",
     "modular_data_mp",
+    "mp_residual",
 ]
 
-MP_DPS = 40          # digits of the high precision (S, omega, z)
+MP_DPS = 40          # digits of the high precision S
+# fraction bits of the fixed-point S: MP_DPS digits of mantissa plus 56
+# bits, so entries down to 2^-56 are read exactly
+FIXED_BITS = dps_to_prec(MP_DPS) + 56
 
 
 class DegenerateNormalizationError(ValueError):
@@ -123,20 +131,16 @@ class ModularData:
         return self.c % 8.0
 
 
-def _assemble(F: FusionSystem, S: np.ndarray, z: complex,
-              c: float) -> ModularData:
-    """ModularData from S, z and c: T = exp(-i pi c / 12) diag(omega),
-    S and T read-only, c snapped to a rational."""
+def modular_data(F: FusionSystem) -> ModularData:
+    """Compute (S, T) from fusion coefficients, dimensions and twists:
+    S = Y / |z|, T = exp(-i pi c / 12) diag(omega), both read-only, and
+    c snapped to a rational.  The only constructor of ModularData."""
+    z, c = central_charge(F)
+    S = build_Y(F) / abs(z)
     T = cmath.exp(-1j * math.pi * c / 12.0) * np.diag(twist_phases(F))
     S.setflags(write=False)
     T.setflags(write=False)
     return ModularData(system=F, S=S, T=T, z=z, c=c, c_rational=_snap_c(c))
-
-
-def modular_data(F: FusionSystem) -> ModularData:
-    """Compute (S, T) from fusion coefficients, dimensions and twists."""
-    z, c = central_charge(F)
-    return _assemble(F, build_Y(F) / abs(z), z, c)
 
 
 def conjugation_matrix(F: FusionSystem) -> np.ndarray:
@@ -228,22 +232,19 @@ def degenerate_sectors(F: FusionSystem, tol: float = 1e-6) -> list[int]:
     return out
 
 
-def _mp_omega(t: Fraction):
-    angle = 2 * mp.pi * mp.mpf(t.numerator) / mp.mpf(t.denominator)
-    return mp.e ** (1j * angle)
-
-
-def modular_data_mp(F: FusionSystem):
-    """High precision (S, omega, z) as mpmath matrices.
+def modular_data_mp(F: FusionSystem) -> np.ndarray:
+    """The MP_DPS-digit S in Gaussian fixed point: a read-only (2, n, n)
+    object array of Python ints whose [0] and [1] hold the real and
+    imaginary parts of S times 2^FIXED_BITS, floored.
 
     The quantum dimensions d (with d_0 = 1) and the Perron-Frobenius
     eigenvalue lambda of M = sum_a N_a are refined from the float values
     by Newton's method on M d - lambda d = 0: the residual is evaluated
     at MP_DPS digits and the n x n Jacobian [-d | (M - lambda)[:, 1:]] is
     solved in float, so each step gains about 13 digits.  S is then
-    rebuilt from the exact rational twists.  Used to re-certify
-    enumeration output far below float round-off.  Returns
-    (S, omega, z) at MP_DPS digits.
+    rebuilt from the exact rational twists, and flooring moves each part
+    by less than 2^-FIXED_BITS.  Used by mp_residual to re-certify
+    enumeration output far below float round-off.
     """
     if F.twists is None:
         raise ValueError("fusion system carries no twists")
@@ -252,6 +253,7 @@ def modular_data_mp(F: FusionSystem):
     rows = [[(r, int(M[m, r])) for r in np.nonzero(M[m])[0]]
             for m in range(n)]
     Mf = M.astype(float)
+    S = np.empty((2, n, n), dtype=object)
     with mp.workdps(MP_DPS):
         d = [mp.mpf(x) for x in F.d / F.d[0]]
         lam = mp.mpf(F.d @ Mf @ F.d / (F.d @ F.d))
@@ -267,14 +269,35 @@ def modular_data_mp(F: FusionSystem):
             lam += step[0]
             for r in range(1, n):
                 d[r] += step[r]
-        omega = [_mp_omega(t) for t in F.twists]
+        omega = [mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator)
+                 for t in F.twists]
         z = mp.fsum(d[r] * d[r] * omega[r] for r in range(n))
         omega_z = [omega[l] / abs(z) for l in range(n)]
         dw = [d[r] / omega[r] for r in range(n)]
-        S = mp.zeros(n, n)
         for l in range(n):
             for m in range(n):
                 rs = np.nonzero(F.N[l, m])[0]
                 acc = mp.fdot(zip(F.N[l, m, rs].tolist(), [dw[r] for r in rs]))
-                S[l, m] = omega_z[l] * omega[m] * acc
-        return S, mp.matrix(omega), z
+                re, im = (omega_z[l] * omega[m] * acc)._mpc_
+                S[:, l, m] = to_fixed(re, FIXED_BITS), to_fixed(im, FIXED_BITS)
+    S.setflags(write=False)
+    return S
+
+
+def mp_residual(S: np.ndarray, Z: np.ndarray) -> float:
+    """max |S Z - Z S| over all n^2 entries for the fixed-point S of
+    modular_data_mp, summed exactly from the non-zeros of Z: Z[k, j] = v
+    adds v S[:, k] to column j of S Z and v S[j, :] to row k of Z S.
+    Entry (i, j) is within (|Z[:, j]|_1 + |Z[i, :]|_1) 2^(1/2 - FIXED_BITS)
+    of the residual of the MP_DPS-digit S, and the final integer square
+    root floors by less than 2^-FIXED_BITS more."""
+    n = Z.shape[0]
+    R = np.zeros((2, n, n), dtype=object)
+    for k, j in zip(*np.nonzero(Z)):
+        v = int(Z[k, j])
+        col, row = S[:, :, k], S[:, j, :]
+        if v != 1:
+            col, row = v * col, v * row
+        R[:, :, j] += col
+        R[:, k, :] -= row
+    return math.isqrt(int((R * R).sum(axis=0).max())) / 2 ** FIXED_BITS

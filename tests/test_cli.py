@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modkit.catalog import gen_su2
 from modkit.fileio import (
     load_coupling_matrix,
     load_invariant_catalog,
+    load_modular_data,
     save_coupling_matrix,
     save_fusion_system,
 )
 from modkit import invariant_enum
+from modkit.modular_data import modular_data
 from modkit.cli import _report_obj, main
 from modkit.ising import ising_partition
 from modkit.reports import Check, Report
@@ -321,3 +324,44 @@ def test_missing_file_exits_1():
             "/nonexistent/z.json")
     assert p.returncode == 1
     assert "error:" in p.stderr
+
+
+def _assert_clean_error(p, message):
+    assert p.returncode == 1
+    assert "Traceback" not in p.stderr
+    assert p.stderr.startswith(f"error: {message}"), p.stderr
+
+
+@pytest.mark.parametrize("invariants, message", [
+    (5, "field 'invariants' must be of type list"),
+    ([5], "invariant 0: Z must be a square matrix"),
+    ([{"trace": 2, "Z": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}],
+     "invariant 0: Z is 3x3 but the system has 2 sectors"),
+    ([{"trace": 2, "Z": [[1, 0], [-1, 1]]}],
+     "invariant 0: Z entries must be non-negative"),
+], ids=["not-a-list", "not-a-record", "wrong-size", "negative"])
+def test_nimrep_against_rejects_malformed_catalog(tmp_path, invariants,
+                                                  message):
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"format": "invariant-catalog", "version": 1,
+                               "header": {}, "invariants": invariants}))
+    p = run("nimrep", "--graph", "A2", "--level", "1", "--against", str(cat))
+    _assert_clean_error(p, message)
+
+
+def test_chiral_rejects_negative_coupling_matrix(tmp_path):
+    # global_indices divided by zero on this matrix
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps({"format": "coupling-matrix", "version": 1,
+                                 "Z": [[1, 0], [-1, 1]]}))
+    p = run("chiral", "--level", "1", "--invariant", str(zfile))
+    _assert_clean_error(p, "Z entries must be non-negative")
+
+
+def test_modular_out_file_loads_bit_identical(tmp_path):
+    out = tmp_path / "md.json"
+    assert run("modular", "--level", "10", "--out", str(out)).returncode == 0
+    want = modular_data(gen_su2(10))
+    got = load_modular_data(str(out))
+    assert np.array_equal(got.S, want.S) and np.array_equal(got.T, want.T)
+    assert (got.z, got.c, got.c_rational) == (want.z, want.c, want.c_rational)

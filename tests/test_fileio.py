@@ -18,6 +18,7 @@ from modkit.fileio import (
     load_graph,
     load_invariant_catalog,
     load_modular_data,
+    modular_data_dict,
     save_coupling_matrix,
     save_fusion_system,
     save_graph,
@@ -222,3 +223,48 @@ def test_fusion_dict_inverse(su2):
     F = su2(3)
     G = fusion_system_from_dict(fusion_system_dict(F))
     assert G.labels == F.labels and np.array_equal(G.N, F.N)
+
+
+def _modular_data_file(tmp_path, edit):
+    obj = modular_data_dict(modular_data(gen_su2(3)))
+    edit(obj)
+    p = tmp_path / "md.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def _move_entry(obj):
+    obj["S_re"][1][2] += 1e-3
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda obj: obj.update(S_re="abc"), "S_re"),
+    (_move_entry, "S_re"),
+    (lambda obj: obj.pop("z"), "z"),
+    (lambda obj: obj.update(c=float("nan")), "c"),
+    (lambda obj: obj.update(S_im=[[0.0] * 4] * 3), "S_im"),
+], ids=["not-numbers", "moved-1e-3", "missing-z", "nan-c", "wrong-shape"])
+def test_modular_data_file_must_agree_with_its_system(tmp_path, edit, field):
+    # the stored S, z and c are checked against the rebuilt modular data
+    path = _modular_data_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        load_modular_data(path)
+
+
+@pytest.mark.parametrize("Z", [[[1, 0], [-1, 1]], [[1, 0], [0]], 5])
+def test_malformed_coupling_matrix_rejected(tmp_path, Z):
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps({"format": "coupling-matrix", "version": 1,
+                             "Z": Z}))
+    with pytest.raises(ValueError, match="Z "):
+        load_coupling_matrix(str(p))
+
+
+@pytest.mark.parametrize("adjacency", [[[0, 1.5], [1.5, 0]], [[0, -1], [-1, 0]]])
+def test_malformed_graph_adjacency_rejected(tmp_path, adjacency):
+    # a float adjacency was truncated to int64 on load
+    obj = dict(graph_dict(ade_graph("A2")), adjacency=adjacency)
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="adjacency entries"):
+        load_graph(str(p))

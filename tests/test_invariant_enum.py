@@ -10,11 +10,9 @@ import modkit.invariant_enum as ie
 from modkit.catalog import gen_su2
 from modkit.chiral_analysis import product_system
 from modkit.invariant_enum import (
-    MP_DPS,
     MP_TOL,
     BudgetExceededError,
     EnumerationError,
-    _mp_residual,
     build_records,
     commutant_basis,
     enumerate_invariants,
@@ -25,7 +23,13 @@ from modkit.invariant_enum import (
     type_I_factor,
     twist_factor,
 )
-from modkit.modular_data import modular_data, modular_data_mp
+from modkit.modular_data import (
+    FIXED_BITS,
+    MP_DPS,
+    modular_data,
+    modular_data_mp,
+    mp_residual,
+)
 
 from oracles import brute_force_invariants, coupling_forms
 
@@ -162,13 +166,16 @@ def test_commutant_basis_holds_two_equation_copies():
     assert peak < 2.5 * (2 * n * n * cells * 8)
 
 
-def _dense_mp_residual(S_mp, Z):
-    """max |S Z - Z S| by dense mpmath products, the reference for the
-    sparse certificate."""
+def _dense_mp_residual(S_fixed, Z):
+    """max |S Z - Z S| by dense mpmath products on the fixed-point S, the
+    reference for the sparse certificate."""
     n = Z.shape[0]
     with mp.workdps(MP_DPS):
+        S = mp.matrix([[mp.mpc(*(mp.ldexp(x, -FIXED_BITS)
+                                 for x in S_fixed[:, i, j]))
+                        for j in range(n)] for i in range(n)])
         Zm = mp.matrix(Z.tolist())
-        R = S_mp * Zm - Zm * S_mp
+        R = S * Zm - Zm * S
         return float(max(abs(R[i, j]) for i in range(n) for j in range(n)))
 
 
@@ -177,29 +184,34 @@ def test_mp_residual_matches_dense(system):
     F = (gen_su2(10) if system == "su2:10"
          else product_system(gen_su2(2), gen_su2(3)))
     result = enumerate_invariants(modular_data(F))
-    S_mp = modular_data_mp(F)[0]
+    S_mp = modular_data_mp(F)
     for Z in result.invariants:
-        got = _mp_residual(S_mp, Z)
+        got = mp_residual(S_mp, Z)
         assert abs(got - _dense_mp_residual(S_mp, Z)) < 1e-35
         assert got < 1e-35
     Z = np.eye(F.n, dtype=np.int64)
     Z[0, 1] += 1                          # commutes with neither S nor T
-    got = _mp_residual(S_mp, Z)
+    got = mp_residual(S_mp, Z)
     assert abs(got - _dense_mp_residual(S_mp, Z)) < 1e-35
     assert got > 1e3 * MP_TOL
+
+
+def _moved(S_fixed, by):
+    """S_fixed with the real part of S[0, 16] moved up by about `by`."""
+    S_bad = S_fixed.copy()
+    S_bad[0, 0, 16] += round(by * 2 ** FIXED_BITS)
+    return S_bad
 
 
 def test_mp_recheck_rejects_float_sized_error(monkeypatch):
     # a 40-digit S with one entry off by 1e-12 passes any float check; the
     # recheck must reject it, or it certifies nothing beyond float
     F = gen_su2(16)
-    S_mp, omega, z = modular_data_mp(F)
-    S_bad = S_mp.copy()
-    S_bad[0, 16] += mp.mpf("1e-12")
+    S_bad = _moved(modular_data_mp(F), 1e-12)
     forms = coupling_forms(16)
     for name in ("pair-blocks", "height-18"):
-        assert _mp_residual(S_bad, forms[name]) > MP_TOL, name
-    monkeypatch.setattr(ie, "modular_data_mp", lambda _F: (S_bad, omega, z))
+        assert mp_residual(S_bad, forms[name]) > MP_TOL, name
+    monkeypatch.setattr(ie, "modular_data_mp", lambda _F: S_bad)
     with pytest.raises(EnumerationError, match="high precision"):
         enumerate_invariants(modular_data(F))
 
@@ -208,13 +220,10 @@ def test_mp_residual_resolution():
     # one entry of the 40-digit S moved by 1e-20 reads as 1e-20, and the
     # identity, whose S Z and Z S are the same sums, reads exactly zero
     F = gen_su2(16)
-    S_mp = modular_data_mp(F)[0]
-    with mp.workdps(MP_DPS):
-        S_bad = S_mp.copy()
-        S_bad[0, 16] += mp.mpf("1e-20")
-    got = _mp_residual(S_bad, coupling_forms(16)["pair-blocks"])
+    S_bad = _moved(modular_data_mp(F), 1e-20)
+    got = mp_residual(S_bad, coupling_forms(16)["pair-blocks"])
     assert 0.5e-20 <= got <= 2e-20
-    assert _mp_residual(S_bad, np.eye(F.n, dtype=np.int64)) == 0.0
+    assert mp_residual(S_bad, np.eye(F.n, dtype=np.int64)) == 0.0
 
 
 def test_permutation_detection(enum):

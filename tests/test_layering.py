@@ -1,5 +1,6 @@
-"""Library modules never import the command-line front end, and the
-test oracles never import the library they check."""
+"""Library modules never import the command-line front end, only
+modular_data imports mpmath, and the test oracles never import the
+library they check."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,13 @@ def test_library_modules_do_not_import_cli():
                  if p.name not in FRONT_END
                  and _imports(ast.parse(p.read_text(), str(p)), "modkit.cli")]
     assert offenders == []
+
+
+def test_only_modular_data_imports_mpmath():
+    # the 40-digit S and the residual measured against it have one home
+    users = [p.name for p in sorted(SRC.glob("*.py"))
+             if _imports(ast.parse(p.read_text(), str(p)), "mpmath")]
+    assert users == ["modular_data.py"]
 
 
 def test_scan_detects_every_import_form():

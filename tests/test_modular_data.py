@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modkit.catalog import gen_cyclic, gen_su2, cyclic_quadratic_twists
+from modkit.chiral_analysis import product_system
 from modkit.modular_data import (
+    FIXED_BITS,
     DegenerateNormalizationError,
     build_Y,
     central_charge,
@@ -87,26 +89,44 @@ def test_y_matrix_first_row_is_dimensions(su2):
     assert np.max(np.abs(Y - Y.T)) < 1e-10
 
 
-def test_high_precision_agrees(md):
-    m = md(16)
-    S_mp, omega_mp, z_mp = modular_data_mp(m.system)
-    n = m.S.shape[0]
-    S = np.array([[complex(S_mp[i, j]) for j in range(n)] for i in range(n)])
-    assert np.max(np.abs(S - m.S)) < 1e-12
-    assert abs(complex(z_mp) - m.z) < 1e-12
-
-
-@pytest.mark.parametrize("k", [16, 40])
-def test_high_precision_matches_sine_closed_form(k):
-    # 40-digit S against the closed form at 50 digits checks the digits
-    # beyond float precision, which the 1e-12 test above cannot see
+def _fixed_to_mp(S_fixed):
+    """The fixed-point S of modular_data_mp as rows of exact mpc values."""
     import mpmath as mp
 
-    S_mp, _, _ = modular_data_mp(gen_su2(k))
-    want = su2_sine_smatrix_mp(k)
+    n = S_fixed.shape[1]
+    with mp.workdps(80):
+        return [[mp.mpc(*(mp.ldexp(x, -FIXED_BITS) for x in S_fixed[:, a, b]))
+                 for b in range(n)] for a in range(n)]
+
+
+def test_high_precision_agrees(md):
+    m = md(16)
+    S = np.array([[complex(x) for x in row]
+                  for row in _fixed_to_mp(modular_data_mp(m.system))])
+    assert np.max(np.abs(S - m.S)) < 1e-12
+    # S[0, 0] = 1 / |z|: the Gauss sum's modulus agrees as well
+    assert abs(1 / S[0, 0] - abs(m.z)) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [(16,), (40,), (2, 3)],
+                         ids=["16", "40", "2x3"])
+def test_high_precision_matches_sine_closed_form(levels):
+    # 40-digit S against the closed form at 50 digits checks the digits
+    # beyond float precision, which the 1e-12 test above cannot see; the
+    # S of a product system is the Kronecker product of its factors' S
+    import mpmath as mp
+
+    F = gen_su2(levels[0])
+    want = su2_sine_smatrix_mp(levels[0])
     with mp.workdps(50):
-        dev = max(abs(S_mp[a, b] - want[a][b])
-                  for a in range(k + 1) for b in range(k + 1))
+        for k in levels[1:]:
+            F = product_system(F, gen_su2(k))
+            factor = su2_sine_smatrix_mp(k)
+            want = [[x * y for x in row for y in row2]
+                    for row in want for row2 in factor]
+        got = _fixed_to_mp(modular_data_mp(F))
+        dev = max(abs(g - w) for g_row, w_row in zip(got, want)
+                  for g, w in zip(g_row, w_row))
     assert dev < 1e-35
 
 
