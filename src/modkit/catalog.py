@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fusion_core import FusionSystem, make_fusion_system, normalize_twist
+from .fusion_core import (FusionSystem, check_fusion_size, make_fusion_system,
+                          normalize_twist)
 
 ADE_NAMES = tuple(
     [f"A{l}" for l in range(1, 30)]
@@ -180,18 +181,19 @@ def mckay_marks(graph: Graph) -> np.ndarray:
 def gen_su2(k: int) -> FusionSystem:
     """SU(2) level-k fusion system with twists.
 
-    Labels 0..k; fusion matrices from the Chebyshev recursion
-    N_{j+1} = N_1 N_j - N_{j-1} started at N_0 = 1 and N_1 = path
-    adjacency; conjugation is trivial; twists t_j = j(j+2)/(4(k+2)).
+    Labels 0..k; fusion by the truncated Clebsch-Gordan rule: N[i, j, l]
+    is 1 when |i - j| <= l <= min(i + j, 2k - i - j) and i + j + l is
+    even, else 0; conjugation is trivial; twists t_j = j(j+2)/(4(k+2)).
     """
     if k < 1:
         raise ValueError("level must be >= 1")
     n = k + 1
-    path = ade_graph(f"A{n}").adjacency
-    mats = [np.eye(n, dtype=np.int64), path.copy()]
-    for j in range(1, k):
-        mats.append(path @ mats[j] - mats[j - 1])
-    N = np.stack(mats)
+    check_fusion_size(n)
+    i, j = np.ogrid[:n, :n]
+    lo, hi = np.abs(i - j), np.minimum(i + j, 2 * k - i - j)
+    l = np.arange(n)
+    N = ((lo[..., None] <= l) & (l <= hi[..., None])
+         & (lo[..., None] % 2 == l % 2)).astype(np.int64)
     twists = [Fraction(j * (j + 2), 4 * (k + 2)) for j in range(n)]
     return make_fusion_system([str(j) for j in range(n)], N, range(n), twists)
 
@@ -201,6 +203,7 @@ def gen_cyclic(n: int, twists=None) -> FusionSystem:
     negation.  twists, when given, is one rational per label (t_0 = 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_fusion_size(n)
     N = np.zeros((n, n, n), dtype=np.int64)
     a = np.arange(n)
     N[a[:, None], a[None, :], (a[:, None] + a[None, :]) % n] = 1

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion_core import FusionSystem, make_fusion_system, normalize_twist
+from .fusion_core import (FusionSystem, check_fusion_size, make_fusion_system,
+                          normalize_twist)
 from .modular_data import (ModularData, build_Y, degenerate_sectors,
                            twist_phases)
 from .reports import Check, Report
@@ -245,6 +246,7 @@ def product_system(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     """
     n1, n2 = F1.n, F2.n
     n = n1 * n2
+    check_fusion_size(n)
     N = np.einsum("abc,xyz->axbycz", F1.N, F2.N).reshape(n, n, n)
     labels = [f"({l1},{l2})" for l1 in F1.labels for l2 in F2.labels]
     conj = [F1.conj[a1] * n2 + F2.conj[a2]

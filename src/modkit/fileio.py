@@ -3,14 +3,19 @@
 Every file is a single JSON object with "format" and "version" keys.
 Serialisation goes through dumps_canonical (sorted keys, fixed indent,
 trailing newline, no timestamps) so identical data produces identical
-bytes.
+bytes.  Readers exist only for the formats a command reads back; the
+modular-data and graph files are exports.
 
 formats:
   fusion-system      labels, sparse fusion quadruples, conjugation, twists
+                     (read by --system FILE)
   modular-data       fusion-system fields plus S (split re/im), z, c
+                     (written by modular --out)
   graph              named adjacency matrix with affine marking
-  coupling-matrix    one integer matrix Z
+                     (written by catalog --out)
+  coupling-matrix    one integer matrix Z (read by chiral --invariant)
   invariant-catalog  header plus one record per coupling matrix
+                     (read by nimrep --against)
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import Graph, graph_meta
-from .fusion_core import FusionSystem, make_fusion_system
-from .modular_data import ModularData, modular_data
+from .fusion_core import FusionSystem, check_fusion_size, make_fusion_system
+from .modular_data import ModularData
 
 FORMAT_VERSION = 1
 
@@ -96,6 +101,7 @@ def fusion_system_from_dict(obj: dict) -> FusionSystem:
                          f"{len(labels)} labels")
     if len({str(x) for x in labels}) != n:
         raise ValueError("labels must be distinct")
+    check_fusion_size(n)
     N = np.zeros((n, n, n), dtype=np.int64)
     int64 = np.iinfo(np.int64)
     for quad in _field(obj, "fusion", list):
@@ -132,27 +138,6 @@ def save_modular_data(md: ModularData, path: str) -> None:
     _write(path, modular_data_dict(md))
 
 
-def load_modular_data(path: str) -> ModularData:
-    """modular_data of the file's fusion system.  The stored S_re, S_im, z
-    and c must agree with it to 1e-9, or ValueError names the field."""
-    obj = _read(path, "modular-data")
-    md = modular_data(fusion_system_from_dict(obj))
-    for key, want in (("S_re", md.S.real), ("S_im", md.S.imag),
-                      ("z", [md.z.real, md.z.imag]), ("c", md.c)):
-        try:
-            got = np.array(obj[key], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            got = None
-        if got is None or got.shape != np.shape(want):
-            raise ValueError(f"field {key!r} must hold numbers of shape "
-                             f"{np.shape(want)}")
-        dev = float(np.max(np.abs(got - want)))
-        if not dev <= 1e-9:
-            raise ValueError(f"field {key!r} is {dev:.3g} from the modular "
-                             f"data of the fusion system")
-    return md
-
-
 def graph_dict(g: Graph) -> dict:
     obj = {
         "format": "graph",
@@ -179,16 +164,6 @@ def graph_dict(g: Graph) -> dict:
 
 def save_graph(g: Graph, path: str) -> None:
     _write(path, graph_dict(g))
-
-
-def load_graph(path: str) -> Graph:
-    obj = _read(path, "graph")
-    adj = _int_matrix(obj.get("adjacency"), "adjacency")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-    star = obj["star"]
-    return Graph(name=obj["name"], adjacency=adj, affine=bool(obj["affine"]),
-                 star=None if star is None else int(star), iota=int(obj["iota"]))
 
 
 def save_coupling_matrix(Z: np.ndarray, path: str) -> None:

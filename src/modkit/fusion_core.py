@@ -18,6 +18,11 @@ import numpy as np
 from .reports import Check, Report
 
 
+# Size limit of a fusion tensor (check_fusion_size) and of one copy of the
+# commutant equations (invariant_enum.EQUATIONS_MAX_BYTES).
+MAX_ARRAY_BYTES = 512 << 20
+
+
 class DegenerateFusionError(ValueError):
     """The fusion graph is reducible; Perron-Frobenius data is ambiguous."""
 
@@ -47,6 +52,16 @@ class FusionSystem:
 def normalize_twist(t) -> Fraction:
     """Reduce a rational statistics phase into [0, 1)."""
     return Fraction(t) % 1
+
+
+def check_fusion_size(n: int) -> None:
+    """Raise ValueError when an (n, n, n) int64 fusion tensor would exceed
+    MAX_ARRAY_BYTES (n > 406); builders call it before allocating one."""
+    need = n ** 3 * 8
+    if need > MAX_ARRAY_BYTES:
+        raise ValueError(f"fusion tensor of rank {n} needs "
+                         f"{need / 2 ** 20:.0f} MiB, over the "
+                         f"{MAX_ARRAY_BYTES / 2 ** 20:.0f} MiB limit")
 
 
 def make_fusion_system(labels, N, conj, twists=None) -> FusionSystem:

@@ -42,7 +42,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fusion_core import FusionSystem, is_permutation_matrix
+from .fusion_core import (MAX_ARRAY_BYTES, FusionSystem,
+                          is_permutation_matrix)
 from .modular_data import ModularData, modular_data_mp, mp_residual
 
 __all__ = [
@@ -69,7 +70,7 @@ MP_TOL = 1e-25       # residual bound of the 40-digit recheck (mp_residual)
 # One copy of the commutant equations may take this much; the basis holds
 # two (its own and the QR's).  su(2)_10 x su(2)_10 needs 183 MiB per copy,
 # su(2)_12 x su(2)_12 482 MiB and su(2)_13 x su(2)_13 897 MiB.
-EQUATIONS_MAX_BYTES = 512 << 20
+EQUATIONS_MAX_BYTES = MAX_ARRAY_BYTES
 
 
 class EnumerationError(RuntimeError):
@@ -215,7 +216,6 @@ class EnumerationResult:
     invariants: tuple[np.ndarray, ...]
     cells: tuple[tuple[int, int], ...]
     commutant_dim: int
-    pivots: tuple[tuple[int, int], ...]
     nodes: int
 
 
@@ -310,8 +310,7 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
     accepted.sort(key=lambda Z: tuple(Z.ravel().tolist()))
     return EnumerationResult(
         invariants=tuple(accepted), cells=tuple(cells),
-        commutant_dim=dim, pivots=tuple(cells[i] for i in pivots),
-        nodes=nodes)
+        commutant_dim=dim, nodes=nodes)
 
 
 def matrix_stats(Z: np.ndarray) -> dict:
@@ -322,11 +321,6 @@ def matrix_stats(Z: np.ndarray) -> dict:
         "sum_sq": int((Z * Z).sum()),
         "permutation": bool(is_permutation_matrix(Z)),
     }
-
-
-def _first_support(v: np.ndarray) -> int:
-    nz = np.nonzero(v)[0]
-    return int(nz[0]) if len(nz) else len(v)
 
 
 def type_I_factor(Z: np.ndarray) -> np.ndarray | None:
@@ -352,9 +346,8 @@ def type_I_factor(Z: np.ndarray) -> np.ndarray | None:
             return True
         if dead(R):
             return False
-        s = _first_support(np.diag(R))
-        if s >= n:
-            return False                  # zero diagonal but R != 0
+        # R != 0 and not dead(R): some diagonal entry is non-zero
+        s = int(np.flatnonzero(np.diag(R))[0])
         sq = np.floor(np.sqrt(np.diag(R) + 0.5)).astype(np.int64)
         for vs in range(1, sq[s] + 1):
             caps = np.minimum(sq, R[s] // vs)

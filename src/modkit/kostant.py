@@ -94,8 +94,7 @@ def mckay_series(graph: Graph, J: int) -> KostantSeries:
     nv = graph.n_vertices
     n = np.zeros((J + 1, nv), dtype=np.int64)
     n[0, graph.star] = 1
-    if J >= 1:
-        n[1] = adj @ n[0]
+    n[1] = adj @ n[0]
     for j in range(1, J):
         n[j + 1] = adj @ n[j] - n[j - 1]
     bad = np.argwhere((n < 0) | (n > _degree_bound(J)))
@@ -292,8 +291,7 @@ def nimrep_match(graph: Graph, series: KostantSeries,
     prod[0] = 1
     prod[r] -= 1
     prod[s] -= 1
-    if r + s < width:
-        prod[r + s] += 1
+    prod[r + s] += 1                        # r + s = h + 2 < width
     ok = np.array_equal(omega, prod)
     soft_check("omega-product", ok,
                f"Omega = {format_poly(omega)}"

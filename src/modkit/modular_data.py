@@ -43,7 +43,6 @@ __all__ = [
     "build_Y",
     "central_charge",
     "modular_data",
-    "conjugation_matrix",
     "verlinde_fusion",
     "verify_modular",
     "verlinde_check",
@@ -141,12 +140,6 @@ def modular_data(F: FusionSystem) -> ModularData:
     S.setflags(write=False)
     T.setflags(write=False)
     return ModularData(system=F, S=S, T=T, z=z, c=c, c_rational=_snap_c(c))
-
-
-def conjugation_matrix(F: FusionSystem) -> np.ndarray:
-    C = np.zeros((F.n, F.n), dtype=np.int64)
-    C[np.arange(F.n), list(F.conj)] = 1
-    return C
 
 
 def verlinde_fusion(S: np.ndarray) -> tuple[np.ndarray, float]:

@@ -39,6 +39,14 @@ def su2_sine_smatrix_mp(k: int, dps: int = 50):
                  for b in range(k + 1)] for a in range(k + 1)]
 
 
+def su2_verlinde_fusion(k: int) -> np.ndarray:
+    """N[a, b, c] = sum_m S[a, m] S[b, m] S[c, m] / S[0, m] on the sine
+    closed form (real and symmetric), rounded to integers."""
+    S = su2_sine_smatrix(k)
+    X = S[:, None, :] * S[None, :, :] / S[0]
+    return np.rint(X @ S.T).astype(np.int64)
+
+
 def su2_twist_fractions(k: int) -> list[Fraction]:
     """t_a = a(a+2) / (4(k+2)) reduced mod 1."""
     return [Fraction(a * (a + 2), 4 * (k + 2)) % 1 for a in range(k + 1)]
@@ -129,7 +137,9 @@ def _block_sum(n: int, blocks, pairs=()) -> np.ndarray:
 
 
 def coupling_forms(k: int) -> dict[str, np.ndarray]:
-    """Expected complete catalogues for the levels used in the tests."""
+    """The complete catalogue of su(2)_k, the Cappelli-Itzykson-Zuber
+    list: A at every level, D_even at k = 0 mod 4, D_odd at k = 2 mod 4
+    (k >= 6), and E6, E7, E8 at k = 10, 16, 28."""
     n = k + 1
     forms = {"diagonal": np.eye(n, dtype=np.int64)}
     if k % 4 == 0 and k >= 4:

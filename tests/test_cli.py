@@ -8,16 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modkit.catalog import gen_su2
 from modkit.fileio import (
-    load_coupling_matrix,
+    dumps_canonical,
     load_invariant_catalog,
-    load_modular_data,
     save_coupling_matrix,
     save_fusion_system,
 )
 from modkit import invariant_enum
-from modkit.modular_data import modular_data
 from modkit.cli import _report_obj, main
 from modkit.ising import ising_partition
 from modkit.reports import Check, Report
@@ -56,6 +53,25 @@ def test_modular_out_roundtrip(tmp_path):
     p = run("modular", "--system", "su2", "--level", "4", "--out", str(out))
     assert p.returncode == 0
     assert out.exists()
+
+
+def test_modular_out_file_loads_bit_identical(tmp_path):
+    # the file is the machine output without its reports, byte for byte
+    out = tmp_path / "md.json"
+    p = run("modular", "--level", "10", "--format", "machine",
+            "--out", str(out))
+    assert p.returncode == 0
+    obj = json.loads(p.stdout)
+    del obj["reports"]
+    assert out.read_text() == dumps_canonical(obj)
+
+
+def test_catalog_graph_out_file_is_machine_output(tmp_path):
+    out = tmp_path / "g.json"
+    p = run("catalog", "--graph", "D6^", "--format", "machine",
+            "--out", str(out))
+    assert p.returncode == 0
+    assert out.read_text() == p.stdout
 
 
 def test_enum_writes_catalog(tmp_path):
@@ -115,6 +131,26 @@ def test_enum_machine_golden_bytes(k):
     assert p.returncode == 0
     assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
         ENUM_MACHINE_SHA256[k]
+
+
+# sha256 of `modkit <command> --format machine` for the catalogue listing
+# and two graph exports; like the enum output they hold no floats
+CATALOG_MACHINE_SHA256 = {
+    "catalog":
+        "0d61b0e93bbcae8ea67ee2ced3fb752e4fff6d0cfc72981dcefebdbfc15dec84",
+    "catalog --graph E7":
+        "04449a6af42d9e182e94efd4477e0a84bdbcb32f6237898e29f6d9eacd5cf6ac",
+    "catalog --graph D6^":
+        "e6d4f58dce609d4ef312f4db2ce0cbc076675525187bd17776740af53b13387c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CATALOG_MACHINE_SHA256))
+def test_catalog_machine_golden_bytes(command):
+    p = run(*command.split(), "--format", "machine")
+    assert p.returncode == 0
+    assert hashlib.sha256(p.stdout.encode()).hexdigest() == \
+        CATALOG_MACHINE_SHA256[command]
 
 
 # sha256 of `--format machine` for the verifiers, the Ising torus and
@@ -358,10 +394,16 @@ def test_chiral_rejects_negative_coupling_matrix(tmp_path):
     _assert_clean_error(p, "Z entries must be non-negative")
 
 
-def test_modular_out_file_loads_bit_identical(tmp_path):
-    out = tmp_path / "md.json"
-    assert run("modular", "--level", "10", "--out", str(out)).returncode == 0
-    want = modular_data(gen_su2(10))
-    got = load_modular_data(str(out))
-    assert np.array_equal(got.S, want.S) and np.array_equal(got.T, want.T)
-    assert (got.z, got.c, got.c_rational) == (want.z, want.c, want.c_rational)
+def test_oversized_fusion_tensor_exits_1(tmp_path):
+    # refused before the (n, n, n) tensor is allocated, so no MemoryError
+    _assert_clean_error(run("modular", "--level", "100000"),
+                        "fusion tensor of rank 100001 needs")
+    n = 20000
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"format": "fusion-system", "version": 1,
+                               "labels": [str(i) for i in range(n)],
+                               "rank": n, "fusion": [],
+                               "conjugation": list(range(n)),
+                               "twists": None}))
+    _assert_clean_error(run("modular", "--system", str(big)),
+                        "fusion tensor of rank 20000 needs")

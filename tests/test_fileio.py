@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkit.catalog import ade_graph, affine_ade, gen_cyclic, gen_su2
+from modkit.catalog import ade_graph, gen_cyclic, gen_su2
 from modkit.fileio import (
     catalog_dict,
     dumps_canonical,
@@ -15,18 +15,12 @@ from modkit.fileio import (
     graph_dict,
     load_coupling_matrix,
     load_fusion_system,
-    load_graph,
     load_invariant_catalog,
-    load_modular_data,
-    modular_data_dict,
     save_coupling_matrix,
     save_fusion_system,
-    save_graph,
     save_invariant_catalog,
-    save_modular_data,
 )
-from modkit.invariant_enum import build_records, enumerate_invariants
-from modkit.modular_data import modular_data
+from modkit.invariant_enum import build_records
 
 
 def test_fusion_system_roundtrip(tmp_path, su2):
@@ -49,28 +43,6 @@ def test_twists_survive_as_exact_rationals(tmp_path):
     G = load_fusion_system(str(p))
     assert G.twists == F.twists
     assert all(isinstance(t, Fraction) for t in G.twists)
-
-
-def test_modular_data_roundtrip(tmp_path, md):
-    m = md(10)
-    p = tmp_path / "md.json"
-    save_modular_data(m, str(p))
-    m2 = load_modular_data(str(p))
-    assert np.max(np.abs(m2.S - m.S)) < 1e-15
-    assert np.max(np.abs(m2.T - m.T)) < 1e-15
-    assert m2.c_rational == m.c_rational
-    assert m2.system.labels == m.system.labels
-
-
-def test_graph_roundtrip(tmp_path):
-    for g in (ade_graph("E7"), affine_ade("D6")):
-        p = tmp_path / f"{g.name}_{g.affine}.json"
-        save_graph(g, str(p))
-        g2 = load_graph(str(p))
-        assert np.array_equal(g2.adjacency, g.adjacency)
-        assert g2.affine == g.affine
-        assert g2.star == g.star
-        assert g2.iota == g.iota
 
 
 def test_graph_dict_carries_meta():
@@ -225,32 +197,6 @@ def test_fusion_dict_inverse(su2):
     assert G.labels == F.labels and np.array_equal(G.N, F.N)
 
 
-def _modular_data_file(tmp_path, edit):
-    obj = modular_data_dict(modular_data(gen_su2(3)))
-    edit(obj)
-    p = tmp_path / "md.json"
-    p.write_text(json.dumps(obj))
-    return str(p)
-
-
-def _move_entry(obj):
-    obj["S_re"][1][2] += 1e-3
-
-
-@pytest.mark.parametrize("edit, field", [
-    (lambda obj: obj.update(S_re="abc"), "S_re"),
-    (_move_entry, "S_re"),
-    (lambda obj: obj.pop("z"), "z"),
-    (lambda obj: obj.update(c=float("nan")), "c"),
-    (lambda obj: obj.update(S_im=[[0.0] * 4] * 3), "S_im"),
-], ids=["not-numbers", "moved-1e-3", "missing-z", "nan-c", "wrong-shape"])
-def test_modular_data_file_must_agree_with_its_system(tmp_path, edit, field):
-    # the stored S, z and c are checked against the rebuilt modular data
-    path = _modular_data_file(tmp_path, edit)
-    with pytest.raises(ValueError, match=f"'{field}'"):
-        load_modular_data(path)
-
-
 @pytest.mark.parametrize("Z", [[[1, 0], [-1, 1]], [[1, 0], [0]], 5])
 def test_malformed_coupling_matrix_rejected(tmp_path, Z):
     p = tmp_path / "z.json"
@@ -258,13 +204,3 @@ def test_malformed_coupling_matrix_rejected(tmp_path, Z):
                              "Z": Z}))
     with pytest.raises(ValueError, match="Z "):
         load_coupling_matrix(str(p))
-
-
-@pytest.mark.parametrize("adjacency", [[[0, 1.5], [1.5, 0]], [[0, -1], [-1, 0]]])
-def test_malformed_graph_adjacency_rejected(tmp_path, adjacency):
-    # a float adjacency was truncated to int64 on load
-    obj = dict(graph_dict(ade_graph("A2")), adjacency=adjacency)
-    p = tmp_path / "g.json"
-    p.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match="adjacency entries"):
-        load_graph(str(p))

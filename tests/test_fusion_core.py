@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modkit.chiral_analysis import product_system
 from modkit.fusion_core import (
-    DegenerateFusionError,
-    FusionSystem,
+    check_fusion_size,
     make_fusion_system,
     normalize_twist,
     quantum_dimensions,
@@ -13,7 +13,7 @@ from modkit.fusion_core import (
 )
 from modkit.catalog import gen_cyclic, gen_su2
 
-from oracles import su2_dims, su2_twist_fractions
+from oracles import su2_dims, su2_twist_fractions, su2_verlinde_fusion
 from fractions import Fraction
 
 
@@ -30,6 +30,25 @@ def test_su2_fusion_hand_values(su2):
     assert F.N[1, 1].tolist() == [1, 0, 1]
     assert F.N[1, 2].tolist() == [0, 1, 0]
     assert F.N[2, 2].tolist() == [1, 0, 0]
+
+
+def test_su2_fusion_matches_verlinde_closed_form():
+    for k in range(1, 61):
+        assert np.array_equal(gen_su2(k).N, su2_verlinde_fusion(k)), k
+
+
+def test_fusion_tensor_size_refused_before_allocation():
+    # 406^3 int64 entries fit in 512 MiB, 407^3 do not
+    check_fusion_size(406)
+    with pytest.raises(ValueError, match="fusion tensor of rank 407 needs "
+                                         "514 MiB, over the 512 MiB limit"):
+        check_fusion_size(407)
+    with pytest.raises(ValueError, match="rank 407 "):
+        gen_su2(406)
+    with pytest.raises(ValueError, match="rank 10000 "):
+        gen_cyclic(10000)
+    with pytest.raises(ValueError, match="rank 441 "):
+        product_system(gen_cyclic(21), gen_cyclic(21))
 
 
 def test_su2_unit_and_conjugation(su2):

@@ -47,10 +47,28 @@ def test_oracle_equivalence_small_levels(enum):
 
 
 def test_catalogue_matches_frozen_forms(enum):
-    for k in (4, 6, 10, 16, 28):
+    # the whole Cappelli-Itzykson-Zuber list up to level 48
+    for k in range(1, 49):
         forms = coupling_forms(k)
         got = _as_set(enum(k).invariants)
         assert got == _as_set(forms.values()), f"level {k}"
+
+
+def test_product_catalogue_holds_tensor_products():
+    # every Z_A x Z_B of su(2)_a x su(2)_b, and the exchange of the two
+    # factors when a = b; the 37 pairs a <= b with (a+1)(b+1) <= 36
+    pairs = [(a, b) for a in range(1, 36) for b in range(a, 36)
+             if (a + 1) * (b + 1) <= 36]
+    assert len(pairs) == 37
+    for a, b in pairs:
+        F = product_system(gen_su2(a), gen_su2(b))
+        got = _as_set(enumerate_invariants(modular_data(F)).invariants)
+        want = [np.kron(ZA, ZB) for ZA in coupling_forms(a).values()
+                for ZB in coupling_forms(b).values()]
+        if a == b:                        # row (x, y) has its 1 at (y, x)
+            swap = np.arange((a + 1) ** 2).reshape(a + 1, a + 1).T.ravel()
+            want.append(np.eye((a + 1) ** 2, dtype=np.int64)[swap])
+        assert _as_set(want) <= got, (a, b)
 
 
 def test_level_16_traces_and_order(enum):
