@@ -33,6 +33,7 @@ import numpy as np
 
 from .fusion_core import (FusionSystem, check_fusion_size, make_fusion_system,
                           normalize_twist)
+from .invariant_enum import on_free_cells
 from .modular_data import (ModularData, build_Y, degenerate_sectors,
                            twist_phases)
 from .reports import Check, Report
@@ -80,12 +81,6 @@ def global_indices(Z: np.ndarray, d: np.ndarray) -> GlobalIndices:
                          w_zero=w_plus * w_minus / w_alpha)
 
 
-def _omega_support_ok(F: FusionSystem, Z: np.ndarray) -> bool:
-    """Omega Z = Z Omega, decided exactly on the rational twists."""
-    rows, cols = np.nonzero(Z)
-    return all(F.twists[a] == F.twists[b] for a, b in zip(rows, cols))
-
-
 def chiral_norm_check(F: FusionSystem, Z: np.ndarray,
                       tol: float = 1e-6) -> Report:
     """Vacuum-coupled norm sums against the degenerate-sector prediction.
@@ -96,7 +91,7 @@ def chiral_norm_check(F: FusionSystem, Z: np.ndarray,
     Z is supported where the twists agree.
     """
     Z = np.asarray(Z)
-    if not _omega_support_ok(F, Z):
+    if not on_free_cells(F, Z):
         raise ValueError("Z does not commute with Omega; precondition failed")
     Y = build_Y(F)
     omega = twist_phases(F)
@@ -220,9 +215,7 @@ def degenerate_invariant(F: FusionSystem, gamma, theta,
             raise YClosureError(
                 f"Gamma not Y-closed: row {lam} pairs with the vacuum column "
                 f"to {vac_pair[lam]:.6g}")
-    if Z[0, 0] != 1:
-        raise RuntimeError("constructed matrix has Z[0, 0] != 1")
-    if not _omega_support_ok(F, Z):
+    if not on_free_cells(F, Z):
         raise RuntimeError("constructed matrix fails exact Omega-commutation")
     res_y = float(np.max(np.abs(Y @ Z - Z.astype(float) @ Y)))
     if res_y > tol * max(1.0, F.w):

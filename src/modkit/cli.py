@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -52,6 +53,15 @@ def _emit(args, text_lines: list[str], machine_obj) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _finish(args, lines: list[str], machine: dict, reports) -> int:
+    """Add the reports to the text lines and the machine object, print
+    one of them and return the exit status: 0 when every report holds."""
+    lines += [str(r) for r in reports]
+    machine["reports"] = [_report_obj(r) for r in reports]
+    _emit(args, lines, machine)
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _matrix_lines(Z: np.ndarray) -> list[str]:
@@ -103,10 +113,7 @@ def _cmd_modular(args) -> int:
     reports = [verify_modular(md, tol=args.tolerance), verlinde_check(md)]
     if args.out:
         save_modular_data(md, args.out)
-    obj = modular_data_dict(md)
-    obj["reports"] = [_report_obj(r) for r in reports]
-    _emit(args, [str(r) for r in reports], obj)
-    return 0 if all(r.ok for r in reports) else 1
+    return _finish(args, [], modular_data_dict(md), reports)
 
 
 def _cmd_enum(args) -> int:
@@ -170,12 +177,9 @@ def _cmd_nimrep(args) -> int:
         md = modular_data(F)
         reports.append(spectrum_check(nim, match[0], md,
                                       tol=args.tolerance))
-    lines += [str(r) for r in reports]
     machine = {"graph": args.graph, "level": args.level,
-               "generators": [G.tolist() for G in nim.G],
-               "reports": [_report_obj(r) for r in reports]}
-    _emit(args, lines, machine)
-    return 0 if all(r.ok for r in reports) else 1
+               "generators": [G.tolist() for G in nim.G]}
+    return _finish(args, lines, machine, reports)
 
 
 def _cmd_kostant(args) -> int:
@@ -193,39 +197,24 @@ def _cmd_kostant(args) -> int:
         star = " (extension vertex)" if p.vertex == series.graph.star else ""
         lines.append(f"p_{p.vertex}{star} = {format_poly(p.coeffs)}")
     reports = [suite.series_report, suite.rs_report, suite.match_report]
-    lines += [str(r) for r in reports]
     machine = {"graph": suite.name, "truncation": series.J,
                "series": series.n.tolist(), "rs": list(suite.rs),
                "polynomials": [{"vertex": p.vertex,
                                 "coeffs": list(p.coeffs)}
-                               for p in suite.polys],
-               "reports": [_report_obj(r) for r in reports]}
-    _emit(args, lines, machine)
-    return 0 if suite.ok else 1
+                               for p in suite.polys]}
+    return _finish(args, lines, machine, reports)
 
 
 def _cmd_chiral(args) -> int:
     F, sys_id = _resolve_system(args)
     Z = load_coupling_matrix(args.invariant, n=F.n)
-    gi = global_indices(Z, F.d)
-    reports = [commutant_check(F, Z), chiral_norm_check(F, Z,
-                                                        tol=args.tolerance),
-               lr_counting(Z, F.d)]
-    lines = [f"global indices for {sys_id}:",
-             f"  w       = {gi.w!r}",
-             f"  w_plus  = {gi.w_plus!r}",
-             f"  w_minus = {gi.w_minus!r}",
-             f"  w_alpha = {gi.w_alpha!r}",
-             f"  w_zero  = {gi.w_zero!r}"]
-    lines += [str(r) for r in reports]
-    machine = {"system": sys_id,
-               "global_indices": {"w": gi.w, "w_plus": gi.w_plus,
-                                  "w_minus": gi.w_minus,
-                                  "w_alpha": gi.w_alpha,
-                                  "w_zero": gi.w_zero},
-               "reports": [_report_obj(r) for r in reports]}
-    _emit(args, lines, machine)
-    return 0 if all(r.ok for r in reports) else 1
+    indices = asdict(global_indices(Z, F.d))
+    reports = [commutant_check(F, Z),
+               chiral_norm_check(F, Z, tol=args.tolerance), lr_counting(Z, F.d)]
+    lines = [f"global indices for {sys_id}:"]
+    lines += [f"  {name:<7} = {value!r}" for name, value in indices.items()]
+    return _finish(args, lines, {"system": sys_id, "global_indices": indices},
+                   reports)
 
 
 def _parse_labels(F, raw: str) -> list[int]:

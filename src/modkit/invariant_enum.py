@@ -51,6 +51,7 @@ __all__ = [
     "BudgetExceededError",
     "EnumerationResult",
     "free_cells",
+    "on_free_cells",
     "twist_classes",
     "commutant_equations",
     "commutant_basis",
@@ -103,6 +104,12 @@ def free_cells(F: FusionSystem) -> list[tuple[int, int]]:
     cells = [(a, b) for cls in classes for a in cls for b in cls]
     cells.sort()
     return cells
+
+
+def on_free_cells(F: FusionSystem, Z: np.ndarray) -> bool:
+    """Omega Z = Z Omega exactly: every non-zero of Z is on a free cell."""
+    rows, cols = np.nonzero(Z)
+    return all(F.twists[a] == F.twists[b] for a, b in zip(rows, cols))
 
 
 def commutant_equations(S: np.ndarray,

@@ -287,11 +287,8 @@ def nimrep_match(graph: Graph, series: KostantSeries,
                + ("" if ok else
                   f"; lhs {format_poly(star_lhs)} vs rhs "
                   f"{format_poly(star_rhs)}"))
-    prod = np.zeros(width, dtype=np.int64)
-    prod[0] = 1
-    prod[r] -= 1
-    prod[s] -= 1
-    prod[r + s] += 1                        # r + s = h + 2 < width
+    # (1 - q^r)(1 - q^s) in full, since r + s = h + 2 < width
+    prod = _product_coeffs(np.eye(1, width, dtype=np.int64)[0], r, s)
     ok = np.array_equal(omega, prod)
     soft_check("omega-product", ok,
                f"Omega = {format_poly(omega)}"

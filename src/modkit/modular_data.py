@@ -44,6 +44,7 @@ __all__ = [
     "central_charge",
     "modular_data",
     "verlinde_fusion",
+    "modular_relations",
     "verify_modular",
     "verlinde_check",
     "degenerate_sectors",
@@ -83,7 +84,8 @@ def twist_phases(F: FusionSystem) -> np.ndarray:
 def build_Y(F: FusionSystem) -> np.ndarray:
     """Unnormalised Y: omega_l omega_m / omega_r inside the fusion sum."""
     omega = twist_phases(F)
-    weighted = F.N @ (F.d / omega)        # sum_r N[l, m, r] d_r / omega_r
+    # sum_r N[l, m, r] d_r / omega_r, one l at a time (no complex copy of N)
+    weighted = np.array([N_l @ (F.d / omega) for N_l in F.N])
     Y = omega[:, None] * omega[None, :] * weighted
     Y.setflags(write=False)
     return Y
@@ -148,13 +150,28 @@ def verlinde_fusion(S: np.ndarray) -> tuple[np.ndarray, float]:
     N[l, m, r] = sum_n S[l, n] S[m, n] conj(S[r, n]) / S[0, n].
 
     Returns the rounded integer array and the largest deviation of the
-    raw values from those integers.
+    raw values from those integers.  One label l is summed at a time, so
+    no complex (n, n, n) array is held.
     """
-    ratio = S / S[0]                      # ratio[l, n] = S[l, n] / S[0, n]
-    raw = np.einsum("ln,mn,rn->lmr", S, ratio, np.conj(S))
-    N = np.rint(raw.real).astype(np.int64)
-    dev = float(np.max(np.abs(raw - N)))
+    ratio, conj = S / S[0], np.conj(S)    # ratio[l, n] = S[l, n] / S[0, n]
+    N = np.empty((len(S),) * 3, dtype=np.int64)
+    dev = 0.0
+    for l, row in enumerate(S):
+        raw = np.einsum("n,mn,rn->mr", row, ratio, conj)
+        N[l] = np.rint(raw.real)
+        dev = max(dev, float(np.max(np.abs(raw - N[l]))))
     return N, dev
+
+
+def modular_relations(md: ModularData):
+    """max |S S* - 1|, max |T S T S T - S|, the integer rounding C of
+    S^2 (int64) and max |S^2 - C|."""
+    S, T = md.S, md.T
+    unitary = float(np.max(np.abs(S @ np.conj(S.T) - np.eye(md.n))))
+    st = float(np.max(np.abs(T @ S @ T @ S @ T - S)))
+    C_raw = S @ S
+    C = np.rint(C_raw.real).astype(np.int64)
+    return unitary, st, C, float(np.max(np.abs(C_raw - C)))
 
 
 def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
@@ -169,15 +186,12 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
         checks.append(Check(name, dev <= tol, detail))
 
     Idn = np.eye(n)
-    add("s-unitary", float(np.max(np.abs(S @ np.conj(S.T) - Idn))))
+    unitary, st, C, dev_c = modular_relations(md)
+    add("s-unitary", unitary)
     add("t-unitary", float(np.max(np.abs(T @ np.conj(T.T) - Idn))))
     add("s-symmetric", float(np.max(np.abs(S - S.T))))
-    add("st-relation", float(np.max(np.abs(T @ S @ T @ S @ T - S))),
-        "T S T S T = S")
-    C_raw = S @ S
-    C = np.rint(C_raw.real).astype(np.int64)
+    add("st-relation", st, "T S T S T = S")
     perm = is_permutation_matrix(C)
-    dev_c = float(np.max(np.abs(C_raw - C)))
     checks.append(Check("conjugation-permutation", perm and dev_c <= tol,
                         f"max dev {dev_c:.3e}"))
     if perm:

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from modkit.fileio import (
     save_fusion_system,
 )
 from modkit import invariant_enum
-from modkit.cli import _report_obj, main
+from modkit.cli import _report_obj, build_parser, main
 from modkit.ising import ising_partition
 from modkit.reports import Check, Report
 
@@ -311,6 +313,20 @@ def test_ising_scan_script_runs():
                         "--betas", "0.4"], capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
     assert "torus 3 x 3" in p.stdout
+
+
+def test_machine_digests_cover_every_subcommand():
+    # the byte gate's command list names every subcommand in both formats
+    script = Path(__file__).parents[1] / "scripts" / "machine_digests.py"
+    spec = importlib.util.spec_from_file_location("machine_digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for form in ("text", "machine"):
+        named = {c.split()[0] for c in digests.COMMANDS
+                 if c.endswith(f"--format {form}")}
+        assert named == set(sub.choices), form
 
 
 def test_ising_wide_strip_memory():

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modkit.invariant_enum as ie
-from modkit.catalog import gen_su2
+from modkit.catalog import gen_cyclic, gen_su2
 from modkit.chiral_analysis import product_system
 from modkit.invariant_enum import (
     MP_TOL,
@@ -139,6 +140,36 @@ def test_vacuum_is_first_pivot(md):
     for k in range(1, 61):
         cells, _, _, pivots, _ = commutant_basis(md(k))
         assert cells[pivots[0]] == (0, 0), k
+
+
+@pytest.mark.parametrize("pivot_cells", [
+    [(0, 0), (0, 28), (1, 21), (14, 14)],   # reaches the leaf-integrality rule
+    [(0, 0), (5, 5), (14, 14), (15, 3)],    # reaches the settled-cell rule
+])
+def test_search_does_not_depend_on_the_basis(monkeypatch, md, enum,
+                                             pivot_cells):
+    # the su(2)_28 commutant on other pivot cells has half-integer
+    # entries (D = 2); every su(2) and product basis the suite meets has
+    # D = 1, so only this reaches the two integrality rules of the search
+    want = enum(28).invariants
+    cells, K, _, _, bounds = commutant_basis(md(28))
+    pivots = [cells.index(c) for c in pivot_cells]
+    C = K @ np.linalg.inv(K[pivots])
+    K2 = np.rint(2 * C).astype(np.int64)
+    assert np.allclose(K2, 2 * C, rtol=0, atol=1e-9) and np.any(K2 % 2)
+    monkeypatch.setattr(ie, "commutant_basis",
+                        lambda m: (cells, K2, 2, pivots, bounds))
+    got = enumerate_invariants(md(28)).invariants
+    assert len(got) == len(want) == 3
+    assert _as_set(got) == _as_set(want)
+
+
+def test_rank_one_system_has_only_the_vacuum():
+    # every commutant equation of a rank-one system is zero, so the
+    # nullspace is the whole (one-cell) space
+    res = enumerate_invariants(modular_data(gen_cyclic(1, [Fraction(0)])))
+    assert [Z.tolist() for Z in res.invariants] == [[[1]]]
+    assert res.commutant_dim == 1
 
 
 def test_irrational_basis_raises(monkeypatch):

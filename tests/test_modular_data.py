@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -165,3 +166,27 @@ def test_relations_hold_any_level(k):
     assert np.max(np.abs(T @ S @ T @ S @ T - S)) < 1e-9
     assert np.max(np.abs(S @ S.conj().T - np.eye(k + 1))) < 1e-9
     assert m.c_rational == su2_central_charge(k)
+
+
+def _peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_modular_data_holds_no_complex_fusion_tensor():
+    # su(2)_200's int64 fusion tensor takes 62 MiB and a complex copy of
+    # it 124 MiB; S, T and Y take 0.6 MiB each.  gen_su2's cache is
+    # bypassed so the tensor is freed after the test.
+    F = gen_su2.__wrapped__(200)
+    assert _peak(modular_data, F) < 8 * 2 ** 20
+
+
+def test_verlinde_check_holds_no_complex_cube():
+    # the returned int64 N takes n^3 * 8 bytes; the complex (n, n, n)
+    # array of the whole Verlinde sum would take twice that on its own
+    md = modular_data(gen_su2.__wrapped__(100))
+    assert _peak(verlinde_check, md) < 2 * md.n ** 3 * 8

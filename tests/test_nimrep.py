@@ -44,6 +44,15 @@ def test_e7_wrong_level_reports_closure():
     assert exc.value.kind == "closure"
 
 
+def test_level_past_the_graph_goes_negative():
+    # A3 (h = 4) at level 4: G_4 = G_1 G_3 - G_2 leaves the cone before
+    # any closure test
+    with pytest.raises(NimrepBuildError) as exc:
+        build_nimrep_su2(ade_graph("A3"), 4)
+    assert exc.value.kind == "negative"
+    assert exc.value.step == 4
+
+
 def test_affine_graph_rejected():
     with pytest.raises(ValueError):
         build_nimrep_su2(affine_ade("E7"), 16)
