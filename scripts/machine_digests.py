@@ -70,6 +70,10 @@ COMMANDS = [
         f"chiral --level 16 --invariant {{tmp}}/z16_{form}.json")],
     *_both("chiral --system {tmp}/z2z3.json --invariant {tmp}/z2z3_deg.json"),
     "chiral --level 16 --invariant {tmp}/negative.json --format text",
+    "chiral --level 16 --invariant {tmp}/vacuum0.json --format text",
+    "chiral --level 16 --invariant {tmp}/off_cells.json --format text",
+    "chiral --level 16 --invariant {tmp}/z16_e7.json --tolerance 1e-3 "
+    "--format machine",
     *_both(f"degenerate --level 16 --gamma {GAMMA16} --theta 0 "
            "--out {tmp}/deg16.json"),
     *_both(f"degenerate --system {{tmp}}/z2z3.json --gamma '{Z2Z3_ALL}' "
@@ -140,6 +144,13 @@ def _write_inputs(tmp: Path) -> None:
     negative = _z_blocks(17, [(a,) for a in range(17)])
     negative[3][3] = -1
     matrix("negative.json", negative)
+    # Z[0, 0] = 0 and off the free cells: the vacuum error comes first
+    vacuum0 = _z_blocks(17, [(a,) for a in range(1, 17)])
+    vacuum0[1][2] = 1
+    matrix("vacuum0.json", vacuum0)
+    off_cells = _z_blocks(17, [(a,) for a in range(17)])
+    off_cells[1][2] = 1
+    matrix("off_cells.json", off_cells)
 
 
 def digest(command: str, src: Path, tmp: Path) -> str:

@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .catalog import (ade_graph, affine_ade, cyclic_quadratic_twists,
                       gen_cyclic, gen_su2, graph_meta, mckay_marks)
 from .chiral_analysis import (GlobalIndices, YClosureError,
-                              chiral_norm_check, commutant_check,
-                              degenerate_invariant, global_indices,
-                              lr_counting, product_system,
+                              coupling_reports, degenerate_invariant,
+                              global_indices, product_system,
                               verify_extension)
 from .fusion_core import (DegenerateFusionError, FusionSystem,
                           is_permutation_matrix,
@@ -42,9 +41,9 @@ __all__ = [
     "__version__",
     "ade_graph", "affine_ade", "cyclic_quadratic_twists", "gen_cyclic",
     "gen_su2", "graph_meta", "mckay_marks",
-    "GlobalIndices", "YClosureError", "chiral_norm_check",
-    "commutant_check", "degenerate_invariant", "global_indices",
-    "lr_counting", "product_system", "verify_extension",
+    "GlobalIndices", "YClosureError", "coupling_reports",
+    "degenerate_invariant", "global_indices", "product_system",
+    "verify_extension",
     "DegenerateFusionError", "FusionSystem",
     "is_permutation_matrix", "make_fusion_system", "quantum_dimensions",
     "verify_fusion_axioms",

@@ -14,7 +14,7 @@ The degenerate-subsystem construction builds a coupling matrix from a
 fusion- and conjugation-closed label subset Gamma whose degenerate part
 Theta is purely bosonic with integer dimensions:
 
-    Z[l, m] = sum_{th in Theta} N[conj(l), th, m] * d_th   (l, m in Gamma)
+    Z[l, m] = sum_{th in Theta} N[l, th, m] * d_th   (l, m in Gamma)
 
 and zero outside Gamma, then certifies Omega- and Y-commutation and the
 closure assumption that Y rows outside Gamma pair to zero with the
@@ -41,9 +41,7 @@ from .reports import Check, Report
 __all__ = [
     "GlobalIndices",
     "global_indices",
-    "chiral_norm_check",
-    "commutant_check",
-    "lr_counting",
+    "coupling_reports",
     "YClosureError",
     "degenerate_invariant",
     "product_system",
@@ -65,11 +63,16 @@ class GlobalIndices:
     w_zero: float
 
 
-def global_indices(Z: np.ndarray, d: np.ndarray) -> GlobalIndices:
-    """The five index quantities of a coupling matrix."""
+def _vacuum_normalized(Z) -> np.ndarray:
     Z = np.asarray(Z)
     if Z[0, 0] != 1:
         raise ValueError("coupling matrix must have Z[0, 0] = 1")
+    return Z
+
+
+def global_indices(Z: np.ndarray, d: np.ndarray) -> GlobalIndices:
+    """The five index quantities of a coupling matrix."""
+    Z = _vacuum_normalized(Z)
     w = float(d @ d)
     s_plus = float(d @ Z[:, 0])
     s_minus = float(Z[0, :] @ d)
@@ -81,79 +84,60 @@ def global_indices(Z: np.ndarray, d: np.ndarray) -> GlobalIndices:
                          w_zero=w_plus * w_minus / w_alpha)
 
 
-def chiral_norm_check(F: FusionSystem, Z: np.ndarray,
-                      tol: float = 1e-6) -> Report:
-    """Vacuum-coupled norm sums against the degenerate-sector prediction.
+def coupling_reports(F: FusionSystem, Z: np.ndarray,
+                     tol: float = 1e-6) -> tuple[Report, Report, Report]:
+    """Commutant residuals, chiral norms and induced-system counting.
 
-    A = sum Y[0,l] Y[l,m] Z[m,0] and B likewise with Z[0,m] must both
-    equal w * sum_{l degenerate} d_l Z[l,0]; the phase-dressed double sum
-    C = sum d_l (omega_l^-1 omega_m) Z[l,m] d_m must equal d^T Z d since
-    Z is supported where the twists agree.
+    Z must have Z[0, 0] = 1 and lie on the free cells (ValueError
+    otherwise).  With deg-sum = sum d_l Z[l, 0] over the degenerate l
+    (at tol): Y Z = Z Y and Omega Z = Z Omega to 1e-8, deg-sum <= d^T Z
+    d / w = w / w_alpha; A = sum Y[0,l] Y[l,m] Z[m,0] and B likewise with
+    Z[0,m] equal w * deg-sum, and C = sum d_l (omega_l^-1 omega_m) Z[l,m]
+    d_m equals d^T Z d; full induction gives w_Delta = w^4 / (d^T Z d)^2
+    = w^2 to a relative 1e-8, i.e. d^T Z d = w.
     """
-    Z = np.asarray(Z)
+    Z = _vacuum_normalized(Z)
     if not on_free_cells(F, Z):
         raise ValueError("Z does not commute with Omega; precondition failed")
+    Z = Z.astype(float)
     Y = build_Y(F)
     omega = twist_phases(F)
-    deg = degenerate_sectors(F, tol=tol)
-    d = F.d
-    w = F.w
-    A = complex(Y[0] @ Y @ Z[:, 0].astype(float))
-    B = complex(Y[0] @ Y @ Z[0, :].astype(float))
-    target = w * float(sum(d[lam] * Z[lam, 0] for lam in deg))
-    C = complex((d / omega) @ (Z * omega[None, :]) @ d)
+    deg = degenerate_sectors(F, tol=tol, Y=Y)
+    d, w = F.d, F.w
     dZd = float(d @ Z @ d)
-    checks = (
-        Check("norm-plus", abs(A - target) <= tol * max(1.0, abs(target)),
-              f"A = {A:.6f}, w*deg-sum = {target:.6f}"),
-        Check("norm-minus", abs(B - target) <= tol * max(1.0, abs(target)),
-              f"B = {B:.6f}, w*deg-sum = {target:.6f}"),
-        Check("phase-aligned", abs(C - dZd) <= tol * max(1.0, abs(dZd)),
-              f"C = {C:.6f}, d Z d = {dZd:.6f}"),
-    )
-    return Report(title=f"chiral norms (n={F.n})", checks=checks)
+    deg_sum = float(sum(d[lam] * Z[lam, 0] for lam in deg))
 
+    def near(x: complex, want: float) -> bool:
+        return abs(x - want) <= tol * max(1.0, abs(want))
 
-def commutant_check(F: FusionSystem, Z: np.ndarray) -> Report:
-    """Residuals of Z against Y and Omega (to 1e-8) plus the
-    degenerate-sum bound."""
-    Z = np.asarray(Z).astype(float)
-    Y = build_Y(F)
-    omega = twist_phases(F)
     res_y = float(np.max(np.abs(Y @ Z - Z @ Y)))
     res_omega = float(np.max(np.abs(omega[:, None] * Z - Z * omega[None, :])))
-    deg = degenerate_sectors(F)
-    lhs = float(sum(F.d[lam] * Z[lam, 0] for lam in deg))
-    rhs = float(F.d @ Z @ F.d) / F.w      # w / w_alpha
-    checks = (
+    commutant = Report(title=f"commutant residuals (n={F.n})", checks=(
         Check("y-commutant", res_y <= 1e-8, f"max residual {res_y:.3e}"),
         Check("omega-commutant", res_omega <= 1e-8,
               f"max residual {res_omega:.3e}"),
-        Check("degenerate-bound", lhs <= rhs + 1e-9,
-              f"deg-sum = {lhs:.6f} <= w/w_alpha = {rhs:.6f}"),
-    )
-    return Report(title=f"commutant residuals (n={F.n})", checks=checks)
-
-
-def lr_counting(Z: np.ndarray, d: np.ndarray) -> Report:
-    """Counting consequence of full induction.
-
-    v0 = (d^T Z d)^2 so w_Delta = w^4 / v0; the verdict is whether
-    w_Delta = w^2 to a relative 1e-8, i.e. d^T Z d = w.
-    """
-    Z = np.asarray(Z)
-    if Z[0, 0] != 1:
-        raise ValueError("coupling matrix must have Z[0, 0] = 1")
-    w = float(d @ d)
-    dZd = float(d @ Z @ d)
-    v0 = dZd ** 2
-    w_delta = w ** 4 / v0
-    ok = abs(w_delta - w * w) <= 1e-8 * w * w
-    checks = (
-        Check("full-index", ok,
-              f"w_Delta = {w_delta:.8f}, w^2 = {w * w:.8f}, d Z d = {dZd:.8f}"),
-    )
-    return Report(title="induced-system counting", checks=checks)
+        Check("degenerate-bound", deg_sum <= dZd / w + 1e-9,
+              f"deg-sum = {deg_sum:.6f} <= w/w_alpha = {dZd / w:.6f}"),
+    ))
+    A = complex(Y[0] @ Y @ Z[:, 0])
+    B = complex(Y[0] @ Y @ Z[0, :])
+    target = w * deg_sum
+    C = complex((d / omega) @ (Z * omega[None, :]) @ d)
+    norms = Report(title=f"chiral norms (n={F.n})", checks=(
+        Check("norm-plus", near(A, target),
+              f"A = {A:.6f}, w*deg-sum = {target:.6f}"),
+        Check("norm-minus", near(B, target),
+              f"B = {B:.6f}, w*deg-sum = {target:.6f}"),
+        Check("phase-aligned", near(C, dZd),
+              f"C = {C:.6f}, d Z d = {dZd:.6f}"),
+    ))
+    w_delta = w ** 4 / dZd ** 2
+    counting = Report(title="induced-system counting", checks=(
+        Check("full-index", abs(w_delta - w * w) <= 1e-8 * w * w,
+              f"w_Delta = {w_delta:.8f}, w^2 = {w * w:.8f}, "
+              f"d Z d = {dZd:.8f}"),
+    ))
+    return commutant, norms, counting
 
 
 def degenerate_invariant(F: FusionSystem, gamma, theta,
@@ -185,7 +169,8 @@ def degenerate_invariant(F: FusionSystem, gamma, theta,
             hit = np.nonzero(F.N[a, b])[0]
             if not set(hit.tolist()) <= gset:
                 raise ValueError(f"Gamma not closed under fusion at ({a}, {b})")
-    deg = degenerate_sectors(F, tol=tol)
+    Y = build_Y(F)
+    deg = degenerate_sectors(F, tol=tol, Y=Y)
     if theta != sorted(set(deg) & gset):
         raise ValueError("Theta must be the degenerate sectors inside Gamma; "
                          f"expected {sorted(set(deg) & gset)}, got {theta}")
@@ -208,7 +193,6 @@ def degenerate_invariant(F: FusionSystem, gamma, theta,
             Z[lam, mu] = sum(int(F.N[lam, th, mu]) * d_int[th]
                              for th in theta)
 
-    Y = build_Y(F)
     vac_pair = np.conj(Y[:, gamma]) @ Y[0, gamma]
     for lam in range(n):
         if lam not in gset and abs(vac_pair[lam]) > tol * max(1.0, F.w):

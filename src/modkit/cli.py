@@ -18,9 +18,8 @@ import numpy as np
 from . import __version__
 from .acceptance import render_lines, run_all
 from .catalog import ade_graph, affine_ade, gen_su2, graph_meta, list_catalog
-from .chiral_analysis import (chiral_norm_check, commutant_check,
-                              degenerate_invariant, global_indices,
-                              lr_counting)
+from .chiral_analysis import (coupling_reports, degenerate_invariant,
+                              global_indices)
 from .fileio import (catalog_dict, dumps_canonical, graph_dict,
                      load_coupling_matrix, load_fusion_system,
                      load_invariant_catalog, modular_data_dict, save_graph,
@@ -209,8 +208,7 @@ def _cmd_chiral(args) -> int:
     F, sys_id = _resolve_system(args)
     Z = load_coupling_matrix(args.invariant, n=F.n)
     indices = asdict(global_indices(Z, F.d))
-    reports = [commutant_check(F, Z),
-               chiral_norm_check(F, Z, tol=args.tolerance), lr_counting(Z, F.d)]
+    reports = coupling_reports(F, Z, tol=args.tolerance)
     lines = [f"global indices for {sys_id}:"]
     lines += [f"  {name:<7} = {value!r}" for name, value in indices.items()]
     return _finish(args, lines, {"system": sys_id, "global_indices": indices},

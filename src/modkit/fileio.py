@@ -117,7 +117,12 @@ def fusion_system_from_dict(obj: dict) -> FusionSystem:
     conj = _field(obj, "conjugation", list)
     if any(type(x) is not int for x in conj):
         raise ValueError("conjugation must list integer labels")
-    return make_fusion_system(labels, N, conj, _twists_in(obj.get("twists")))
+    F = make_fusion_system(labels, N, conj, _twists_in(obj.get("twists")))
+    for a, b in enumerate(F.conj):
+        if F.N[a, b, 0] != 1:
+            raise ValueError(f"conjugation disagrees with fusion: "
+                             f"N[{a}, {b}, 0] = {F.N[a, b, 0]}, not 1")
+    return F
 
 
 def save_fusion_system(F: FusionSystem, path: str) -> None:

@@ -193,47 +193,47 @@ def kostant_poly(series: KostantSeries, r: int,
     return polys
 
 
-def find_rs(series: KostantSeries, h: int,
-            group_order: int) -> tuple[tuple[int, int], Report]:
+def find_rs(series: KostantSeries, h: int, group_order: int
+            ) -> tuple[tuple[int, int], list[KostantPolynomial], Report]:
     """Search all pairs r <= s with r + s = h + 2 and certify.
 
-    Returns the certifying pair plus a report; the products r*s vs the
-    group order and vs twice the group order are reported without being
-    asserted either way.
+    Returns the first certifying pair, its polynomials and a report; the
+    products r*s vs the group order and vs twice the group order are
+    reported without being asserted either way.
     """
-    successes: list[tuple[int, int]] = []
+    successes: dict[tuple[int, int], list[KostantPolynomial]] = {}
     for r in range(1, (h + 2) // 2 + 1):
         s = h + 2 - r
         try:
-            kostant_poly(series, r, s)
+            successes[r, s] = kostant_poly(series, r, s)
         except CertificationError:
             continue
-        successes.append((r, s))
     if not successes:
         raise CertificationError(
             f"no pair with r + s = {h + 2} certifies; "
             f"graph is not affine ADE at Coxeter number {h}")
-    r, s = successes[0]
+    (r, s), polys = next(iter(successes.items()))
     checks = [
         Check("certified", True,
               f"(r, s) = ({r}, {s}) yields polynomial restriction series"),
         Check("unique-pair", len(successes) == 1,
-              f"certifying pairs: {successes}"),
+              f"certifying pairs: {list(successes)}"),
         Check("rs-vs-group-order", r * s == group_order,
               f"r*s = {r * s}, |G| = {group_order}", skipped=True),
         Check("rs-vs-double-group-order", r * s == 2 * group_order,
               f"r*s = {r * s}, 2|G| = {2 * group_order}", skipped=True),
     ]
-    return (r, s), Report(title=f"pair search ({series.graph.name}, "
-                                f"h = {h})", checks=tuple(checks))
+    return (r, s), polys, Report(title=f"pair search ({series.graph.name}, "
+                                       f"h = {h})", checks=tuple(checks))
 
 
-def nimrep_match(graph: Graph, series: KostantSeries,
-                 r: int, s: int) -> Report:
+def nimrep_match(graph: Graph, series: KostantSeries, r: int, s: int,
+                 polys: list[KostantPolynomial]) -> Report:
     """Kostant polynomial coefficients against nimrep generator entries.
 
-    The nimrep is built at level k = h - 2 with h = r + s - 2.  For each
-    ordinary vertex g the coefficient of q^(j+1) in p_g must equal
+    polys are the certified kostant_poly(series, r, s).  The nimrep is
+    built at level k = h - 2 with h = r + s - 2.  For each ordinary
+    vertex g the coefficient of q^(j+1) in p_g must equal
     G_j[iota, g], iota = graph.iota; the three-term identity and the
     product form of Omega are checked by exact polynomial arithmetic.
     For the A family the star row, the Omega product, and the
@@ -247,7 +247,6 @@ def nimrep_match(graph: Graph, series: KostantSeries,
     if graph.affine:
         raise ValueError("nimrep_match compares against the ordinary graph")
     soft = graph.name.upper().startswith("A")
-    polys = kostant_poly(series, r, s)
     width = h + 3
     P = np.zeros((len(polys), width), dtype=np.int64)
     P[:, :h + 1] = [p.coeffs for p in polys]
@@ -345,9 +344,8 @@ def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
     affine = affine_ade(name)
     series = mckay_series(affine, J)
     series_report = verify_series(series)
-    (r, s), rs_report = find_rs(series, h, meta.group_order)
-    polys = tuple(kostant_poly(series, r, s))
-    match_report = nimrep_match(ordinary, series, r, s)
+    (r, s), polys, rs_report = find_rs(series, h, meta.group_order)
+    match_report = nimrep_match(ordinary, series, r, s, polys)
     return KostantSuite(name=ordinary.name, series=series, rs=(r, s),
-                        polys=polys, series_report=series_report,
+                        polys=tuple(polys), series_report=series_report,
                         rs_report=rs_report, match_report=match_report)

@@ -129,6 +129,9 @@ class ModularData:
 
     @property
     def c_mod8(self) -> float:
+        """From c_rational when it exists: a c of -1e-16 reads 0, not 8."""
+        if self.c_rational is not None:
+            return float(self.c_rational % 8)
         return self.c % 8.0
 
 
@@ -219,15 +222,18 @@ def verlinde_check(md: ModularData) -> Report:
     return Report(title=f"verlinde reconstruction (n={md.n})", checks=(check,))
 
 
-def degenerate_sectors(F: FusionSystem, tol: float = 1e-6) -> list[int]:
+def degenerate_sectors(F: FusionSystem, tol: float = 1e-6, *,
+                       Y: np.ndarray | None = None) -> list[int]:
     """Labels l with sum_m Y[l, m] d_m = w d_l.
 
     Every row sum must land within tol of either w d_l (degenerate) or 0
     (non-degenerate); anything in between raises DichotomyViolation.  On
     a modular system only the vacuum is degenerate; a fully degenerate
-    system returns every label.
+    system returns every label.  Y is build_Y(F), built here unless the
+    caller has it.
     """
-    Y = build_Y(F)
+    if Y is None:
+        Y = build_Y(F)
     R = Y @ F.d                           # Y[m, 0] = d_m
     scale = max(1.0, F.w)
     out = []

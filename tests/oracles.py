@@ -69,6 +69,35 @@ def su2_central_charge(k: int) -> Fraction:
 
 
 def brute_force_invariants(k: int, tol: float = 1e-9) -> list[np.ndarray]:
+    """All coupling matrices of su(2)_k, by direct search on the sine
+    closed form."""
+    return _search(su2_sine_smatrix(k), su2_twist_fractions(k), su2_dims(k),
+                   tol)
+
+
+def cyclic_twist_fractions(n: int, q: int) -> list[Fraction]:
+    """t_a = q a^2 / m mod 1 on Z_n, m = n for odd n and 2n for even n."""
+    m = n if n % 2 else 2 * n
+    return [Fraction(q * a * a, m) % 1 for a in range(n)]
+
+
+def cyclic_smatrix(n: int, q: int) -> np.ndarray:
+    """S[a, b] = exp(-4 pi i q a b / m) / sqrt(n) for the twists above."""
+    m = n if n % 2 else 2 * n
+    a = np.arange(n)
+    return np.exp(-4j * np.pi * q * np.outer(a, a) / m) / np.sqrt(n)
+
+
+def cyclic_brute_force(n: int, q: int,
+                       tol: float = 1e-9) -> list[np.ndarray]:
+    """All coupling matrices of Z_n with twists q a^2 / m: every quantum
+    dimension is 1, so the search is over 0/1 entries on cells of equal
+    twist."""
+    return _search(cyclic_smatrix(n, q), cyclic_twist_fractions(n, q),
+                   np.ones(n), tol)
+
+
+def _search(S: np.ndarray, t, d: np.ndarray, tol: float) -> list[np.ndarray]:
     """All integer matrices commuting with S and T, by direct search.
 
     A cell (a, b) may be non-zero only when the twists agree exactly
@@ -76,10 +105,7 @@ def brute_force_invariants(k: int, tol: float = 1e-9) -> list[np.ndarray]:
     bound with Z[0, 0] = 1).  Every assignment within the bounds is
     tested against the S commutator.
     """
-    S = su2_sine_smatrix(k)
-    t = su2_twist_fractions(k)
-    d = su2_dims(k)
-    n = k + 1
+    n = len(t)
     cells = [(a, b) for a in range(n) for b in range(n)
              if t[a] == t[b] and (a, b) != (0, 0)]
     bounds = [int(math.floor(d[a] * d[b] + 1e-9)) for a, b in cells]
@@ -88,7 +114,7 @@ def brute_force_invariants(k: int, tol: float = 1e-9) -> list[np.ndarray]:
     base = np.zeros((n, n))
     base[0, 0] = 1.0
     base_res = (S @ base - base @ S).ravel()
-    coeff = np.empty((len(cells), n * n))
+    coeff = np.empty((len(cells), n * n), dtype=S.dtype)
     for i, (a, b) in enumerate(cells):
         E = np.zeros((n, n))
         E[a, b] = 1.0

@@ -5,6 +5,7 @@ bypassing capture) and is asserted individually, so a red run names the
 failing criterion directly.
 """
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +14,12 @@ import numpy as np
 import pytest
 
 from modkit.acceptance import NAMES, _brute_force, render_lines, run_all
+from modkit.catalog import gen_cyclic
+from modkit.invariant_enum import enumerate_invariants
+from modkit.modular_data import modular_data
 
-from oracles import brute_force_invariants
+from oracles import (brute_force_invariants, cyclic_brute_force,
+                     cyclic_twist_fractions)
 
 N_CRITERIA = len(NAMES)
 
@@ -61,6 +66,20 @@ def test_brute_force_matches_oracle(md, k):
 def test_brute_force_matches_enumeration(md, enum, k):
     # 338,060,800 and 41,879,552 candidates, each one screened
     assert _as_sorted(_brute_force(md(k))) == _as_sorted(enum(k).invariants)
+
+
+# Z_n with twists q a^2 / m, m = n (odd n) or 2n (even n), gcd(q, m) = 1
+CYCLIC = [(n, q) for n in range(2, 9)
+          for q in range(1, n if n % 2 else 2 * n)
+          if math.gcd(q, n if n % 2 else 2 * n) == 1]
+
+
+@pytest.mark.parametrize("n, q", CYCLIC)
+def test_cyclic_enumeration_matches_oracle(n, q):
+    md = modular_data(gen_cyclic(n, cyclic_twist_fractions(n, q)))
+    want = _as_sorted(cyclic_brute_force(n, q))
+    assert _as_sorted(enumerate_invariants(md).invariants) == want
+    assert _as_sorted(_brute_force(md)) == want
 
 
 def test_brute_force_memory(md):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,9 @@ import pytest
 from modkit.catalog import gen_cyclic, gen_su2, cyclic_quadratic_twists
 from modkit.chiral_analysis import (
     YClosureError,
-    chiral_norm_check,
-    commutant_check,
+    coupling_reports,
     degenerate_invariant,
     global_indices,
-    lr_counting,
     product_system,
     verify_extension,
 )
@@ -60,30 +59,79 @@ def test_vacuum_not_normalized_rejected(su2):
 def test_checks_pass_for_all_level_16_invariants(enum, su2):
     F = su2(16)
     for Z in enum(16).invariants:
-        assert commutant_check(F, Z).ok
-        assert chiral_norm_check(F, Z).ok
-        assert lr_counting(Z, F.d).ok
+        reports = coupling_reports(F, Z)
+        assert [r.title for r in reports] == [
+            "commutant residuals (n=17)", "chiral norms (n=17)",
+            "induced-system counting"]
+        assert all(r.ok for r in reports)
 
 
 def test_lr_counting_identity_on_catalog_systems(su2):
     for k in (2, 6, 12):
         F = su2(k)
-        assert lr_counting(np.eye(k + 1, dtype=np.int64), F.d).ok
+        assert coupling_reports(F, np.eye(k + 1, dtype=np.int64))[2].ok
 
 
 def test_lr_counting_flags_inflated_matrix(su2):
     F = su2(16)
     Z = np.eye(17, dtype=np.int64)
-    Z[1, 15] = 40  # huge off-diagonal entry inflates d Z d
-    assert not lr_counting(Z, F.d).ok
+    Z[2, 14] = 40  # huge entry on a free cell inflates d Z d
+    assert not coupling_reports(F, Z)[2].ok
 
 
 def test_norm_check_requires_omega_support(su2):
     F = su2(16)
     Z = np.eye(17, dtype=np.int64)
     Z[0, 1] = 1  # couples labels with different twists
-    with pytest.raises(ValueError):
-        chiral_norm_check(F, Z)
+    with pytest.raises(ValueError, match="does not commute with Omega"):
+        coupling_reports(F, Z)
+
+
+def test_vacuum_checked_before_omega_support(su2):
+    F = su2(16)
+    Z = np.eye(17, dtype=np.int64)
+    Z[0, 0] = 0
+    Z[0, 1] = 1
+    with pytest.raises(ValueError, match=r"Z\[0, 0\] = 1"):
+        coupling_reports(F, Z)
+
+
+def test_chiral_builds_y_and_degenerate_sectors_once(tmp_path, monkeypatch):
+    from modkit.cli import main
+    from modkit.fileio import save_coupling_matrix
+
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # the package re-exports a function named modular_data, which hides
+    # the module of that name as an attribute of modkit
+    chiral = importlib.import_module("modkit.chiral_analysis")
+    for module in (chiral, importlib.import_module("modkit.modular_data")):
+        counted(module, "build_Y")
+    counted(chiral, "degenerate_sectors")
+    path = tmp_path / "z.json"
+    save_coupling_matrix(coupling_forms(16)["height-18"], str(path))
+    assert main(["chiral", "--level", "16", "--invariant", str(path),
+                 "--format", "machine"]) == 0
+    assert sorted(calls) == ["build_Y", "degenerate_sectors"]
+
+
+def test_degenerate_sectors_read_at_tolerance(su2):
+    # a tolerance wider than every row sum makes each label degenerate,
+    # so label 4 joins the commutant report's sum d_0 Z[0, 0] + d_4 Z[4, 0]
+    F = su2(4)
+    Z = coupling_forms(4)["pair-blocks"]
+    for tol, deg_sum in ((1e-6, "1.000000"), (10.0, "2.000000")):
+        bound = coupling_reports(F, Z, tol=tol)[0].checks[2]
+        assert bound.name == "degenerate-bound"
+        assert bound.detail.startswith(f"deg-sum = {deg_sum}")
 
 
 def test_degenerate_sectors():

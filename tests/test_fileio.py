@@ -130,6 +130,14 @@ def test_malformed_field_rejected(su2, key, value, match):
         fusion_system_from_dict(obj)
 
 
+def test_conjugation_disagreeing_with_fusion_rejected():
+    # Z_5 with the identity as conjugation: N[1, 1, 0] = 0, not 1
+    obj = fusion_system_dict(gen_cyclic(5))
+    obj["conjugation"] = list(range(5))
+    with pytest.raises(ValueError, match=r"N\[1, 1, 0\] = 0"):
+        fusion_system_from_dict(obj)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=2)
     | st.integers() | st.sampled_from([-1, 0, 1, 3, 4, 2 ** 63, 2 ** 70]),

@@ -229,6 +229,22 @@ def test_first_offender_messages(name):
     assert digest == FIRST_OFFENDER_SHA256[name]
 
 
+def test_suite_certifies_each_pair_once(monkeypatch):
+    # find_rs certifies every pair with r + s = h + 2; nothing after it
+    # certifies the winning pair again
+    import modkit.kostant as kostant
+    calls = []
+    inner = kostant.kostant_poly
+
+    def counted(series, r, s):
+        calls.append((r, s))
+        return inner(series, r, s)
+    monkeypatch.setattr(kostant, "kostant_poly", counted)
+    h = graph_meta("E7").coxeter
+    assert kostant.kostant_suite("E7").ok
+    assert sorted(calls) == [(r, h + 2 - r) for r in range(1, h // 2 + 2)]
+
+
 def test_suite_ok_flag():
     for name in ("A5", "D6", "E7"):
         assert kostant_suite(name).ok

@@ -152,6 +152,14 @@ def test_vanishing_gauss_sum_rejected():
         modular_data(F)
 
 
+def test_c_mod8_reads_zero_for_a_tiny_negative_c():
+    # Z_5 with twists a^2/5 has c = -1.26e-16, and -1.26e-16 % 8.0 is 8.0
+    md = modular_data(gen_cyclic(5, cyclic_quadratic_twists(5, 5)))
+    assert md.c_rational == 0
+    assert md.c_mod8 == 0.0
+    assert "c mod 8 = 0.000000" in verify_modular(md).title
+
+
 def test_twist_phases_are_unit_modulus():
     F = gen_cyclic(5, cyclic_quadratic_twists(5, 5))
     om = twist_phases(F)
