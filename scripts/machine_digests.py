@@ -66,6 +66,7 @@ COMMANDS = [
     *_both("kostant --graph E8"),
     *_both("kostant --graph A3 --truncation 40"),
     "kostant --graph A3 --truncation 3 --format text",
+    "kostant --graph E8 --truncation 1000000000000 --format machine",
     *[c for form in ("id", "d10", "e7") for c in _both(
         f"chiral --level 16 --invariant {{tmp}}/z16_{form}.json")],
     *_both("chiral --system {tmp}/z2z3.json --invariant {tmp}/z2z3_deg.json"),

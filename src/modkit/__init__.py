@@ -25,10 +25,10 @@ from .invariant_enum import (BudgetExceededError, EnumerationError,
                              enumerate_invariants, free_cells,
                              matrix_stats, twist_factor, twist_classes,
                              type_I_factor)
-from .kostant import (CertificationError, KostantPolynomial,
-                      KostantSeries, McKayGraphError, find_rs,
-                      kostant_poly, kostant_suite, mckay_series,
-                      nimrep_match, verify_series)
+from .kostant import (CertificationError, KostantSeries,
+                      McKayGraphError, find_rs, kostant_poly,
+                      kostant_suite, mckay_series, nimrep_match,
+                      verify_series)
 from .modular_data import (DegenerateNormalizationError,
                            DichotomyViolation, ModularData,
                            degenerate_sectors, modular_data,
@@ -50,7 +50,7 @@ __all__ = [
     "BudgetExceededError", "EnumerationError", "EnumerationResult",
     "build_records", "enumerate_invariants", "free_cells",
     "matrix_stats", "twist_factor", "twist_classes", "type_I_factor",
-    "CertificationError", "KostantPolynomial", "KostantSeries",
+    "CertificationError", "KostantSeries",
     "McKayGraphError", "find_rs", "kostant_poly", "kostant_suite",
     "mckay_series", "nimrep_match", "verify_series",
     "DegenerateNormalizationError", "DichotomyViolation", "ModularData",

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fusion_core import (FusionSystem, check_fusion_size, make_fusion_system,
-                          normalize_twist)
+from .fusion_core import (FusionSystem, check_array_size, check_fusion_size,
+                          make_fusion_system, normalize_twist)
 
 ADE_NAMES = tuple(
     [f"A{l}" for l in range(1, 30)]
@@ -98,8 +98,10 @@ def _ordinary_edges(family: str, ell: int) -> tuple[int, list[tuple[int, int]], 
 
 
 def ade_graph(name: str) -> Graph:
-    """Ordinary ADE Dynkin graph."""
+    """Ordinary ADE Dynkin graph; ValueError when its adjacency matrix
+    would exceed MAX_ARRAY_BYTES."""
     family, ell = parse_ade_name(name)
+    check_array_size(f"adjacency matrix of {family}{ell}", ell, ell)
     n, edges, iota = _ordinary_edges(family, ell)
     adj = np.zeros((n, n), dtype=np.int64)
     for i, j in edges:

@@ -192,15 +192,15 @@ def _cmd_kostant(args) -> int:
         lines.append(f"{j:>3} | "
                      + " ".join(f"{int(v):>4}" for v in series.n[j]))
     lines.append(f"(r, s) = {suite.rs}")
-    for p in suite.polys:
-        star = " (extension vertex)" if p.vertex == series.graph.star else ""
-        lines.append(f"p_{p.vertex}{star} = {format_poly(p.coeffs)}")
+    for g, coeffs in enumerate(suite.polys):
+        star = " (extension vertex)" if g == series.graph.star else ""
+        lines.append(f"p_{g}{star} = {format_poly(coeffs)}")
     reports = [suite.series_report, suite.rs_report, suite.match_report]
     machine = {"graph": suite.name, "truncation": series.J,
                "series": series.n.tolist(), "rs": list(suite.rs),
-               "polynomials": [{"vertex": p.vertex,
-                                "coeffs": list(p.coeffs)}
-                               for p in suite.polys]}
+               "polynomials": [{"vertex": g, "coeffs": coeffs}
+                               for g, coeffs in
+                               enumerate(suite.polys.tolist())]}
     return _finish(args, lines, machine, reports)
 
 

@@ -10,6 +10,7 @@ common eigenvector of all N_a, normalised at the unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ import numpy as np
 from .reports import Check, Report
 
 
-# Size limit of a fusion tensor (check_fusion_size) and of one copy of the
+# Size limit of one array: an int64 fusion tensor, graph adjacency matrix,
+# restriction series or nimrep (check_array_size), and one copy of the
 # commutant equations (invariant_enum.EQUATIONS_MAX_BYTES).
 MAX_ARRAY_BYTES = 512 << 20
 
@@ -54,14 +56,18 @@ def normalize_twist(t) -> Fraction:
     return Fraction(t) % 1
 
 
-def check_fusion_size(n: int) -> None:
-    """Raise ValueError when an (n, n, n) int64 fusion tensor would exceed
-    MAX_ARRAY_BYTES (n > 406); builders call it before allocating one."""
-    need = n ** 3 * 8
+def check_array_size(what: str, *shape: int) -> None:
+    """Raise ValueError naming `what` when an int64 array of this shape
+    would exceed MAX_ARRAY_BYTES; builders call it before allocating."""
+    need = math.prod(shape) * 8
     if need > MAX_ARRAY_BYTES:
-        raise ValueError(f"fusion tensor of rank {n} needs "
-                         f"{need / 2 ** 20:.0f} MiB, over the "
+        raise ValueError(f"{what} needs {need / 2 ** 20:.0f} MiB, over the "
                          f"{MAX_ARRAY_BYTES / 2 ** 20:.0f} MiB limit")
+
+
+def check_fusion_size(n: int) -> None:
+    """check_array_size for an (n, n, n) fusion tensor (n > 406 fails)."""
+    check_array_size(f"fusion tensor of rank {n}", n, n, n)
 
 
 def make_fusion_system(labels, N, conj, twists=None) -> FusionSystem:

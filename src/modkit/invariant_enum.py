@@ -14,10 +14,10 @@ Pipeline:
    cells and extract a nullspace basis by SVD, requiring a clean
    singular value gap;
 3. choose pivot cells (the vacuum cell first, then small entry bounds
-   first) so every solution is Z[cells] = K p / D in its pivot values
-   p, with K an integer matrix and D a positive integer; the basis is
-   snapped to fractions of denominator at most SNAP_DEN, and a basis
-   that does not snap raises EnumerationError;
+   first) so every solution is Z[cells] = C p in its pivot values p;
+   the exact form of C is K / D, with D the least denominator at most
+   SNAP_DEN that puts D C within SNAP_TOL of an integer matrix K, and
+   a basis with no such D raises EnumerationError;
 4. depth-first search over integer pivot vectors, with the vacuum
    pinned to 1, on D Z[cells] in exact int64 arithmetic: interval
    pruning, the entry bounds, integrality of settled cells, and the
@@ -36,7 +36,6 @@ than returning a silently truncated list.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,36 +187,6 @@ def _select_pivots(V: np.ndarray, cells: list[tuple[int, int]],
                            "is numerically degenerate")
 
 
-def _snap_rational(C: np.ndarray, pivots: list[int]) -> tuple[np.ndarray, int]:
-    """Exact form (K, D) of C: an int64 matrix K and a denominator D with
-    C = K / D.
-
-    Each entry is snapped to the nearest fraction with denominator at
-    most SNAP_DEN; the snap must land within SNAP_TOL, the pivot rows
-    must be unit vectors, and the lcm D of the denominators must not
-    exceed SNAP_DEN.  Raises EnumerationError otherwise.
-    """
-    m, dim = C.shape
-    fracs = [Fraction(x).limit_denominator(SNAP_DEN) for x in C.ravel().tolist()]
-    miss = np.abs(C.ravel() - np.array([float(f) for f in fracs]))
-    if miss.max() > SNAP_TOL:
-        i, j = divmod(int(np.argmax(miss)), dim)
-        raise EnumerationError(
-            f"commutant basis is not rational: entry ({i}, {j}) = {C[i, j]:.17g} "
-            f"is {miss.max():.1e} from every fraction with denominator <= "
-            f"{SNAP_DEN} (tolerance {SNAP_TOL:g})")
-    D = math.lcm(*(f.denominator for f in fracs))
-    if D > SNAP_DEN:
-        raise EnumerationError(f"commutant basis denominators have lcm {D} "
-                               f"> {SNAP_DEN}")
-    K = np.array([f.numerator * (D // f.denominator) for f in fracs],
-                 dtype=np.int64).reshape(m, dim)
-    if not np.array_equal(K[pivots], D * np.eye(dim, dtype=np.int64)):
-        raise EnumerationError("snapped commutant basis is not the identity "
-                               "on its pivot cells")
-    return K, D
-
-
 @dataclass(frozen=True)
 class EnumerationResult:
     invariants: tuple[np.ndarray, ...]
@@ -229,7 +198,8 @@ class EnumerationResult:
 def commutant_basis(md: ModularData):
     """(cells, K, D, pivot indices, bounds): solutions of [Z, S] = [Z, T] = 0
     supported on the free cells are exactly Z[cells] = K @ p / D, with p
-    the values at the pivot cells, K an int64 matrix and D an integer.
+    the values at the pivot cells, K an int64 matrix and D the least
+    positive integer that makes D Z[cells] integral for every such Z.
     The vacuum cell (0, 0) is pivot 0."""
     F = md.system
     cells = free_cells(F)
@@ -244,8 +214,14 @@ def commutant_basis(md: ModularData):
     # every value of D Z[cells] met in the search is at most this in size
     if np.max(np.abs(C) @ bounds[pivots]) * SNAP_DEN >= 2.0 ** 62:
         raise EnumerationError("commutant basis too large for int64 search")
-    K, D = _snap_rational(C, pivots)
-    return cells, K, D, pivots, bounds
+    # the least D is the lcm of the denominators of C: distinct fractions
+    # of denominator <= SNAP_DEN lie 1e-6 apart, far beyond 2 SNAP_TOL
+    for D in range(1, SNAP_DEN + 1):
+        K = np.rint(D * C)
+        if np.max(np.abs(K / D - C)) <= SNAP_TOL:
+            return cells, K.astype(np.int64), D, pivots, bounds
+    raise EnumerationError(f"commutant basis is not rational: no D <= {SNAP_DEN} "
+                           f"puts D C within {SNAP_TOL:g} of integers")
 
 
 def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
@@ -376,8 +352,6 @@ def type_I_factor(Z: np.ndarray) -> np.ndarray | None:
                 rows.pop()
         return False
 
-    if dead(Z):
-        return None
     if search(Z.copy(), None, -1):
         return np.array(rows, dtype=np.int64)
     return None

@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Graph, ade_graph, affine_ade, graph_meta, mckay_marks
+from .fusion_core import check_array_size
 from .nimrep import build_nimrep_su2
 from .reports import Check, Report
 
 __all__ = ["McKayGraphError", "CertificationError", "KostantSeries",
-           "KostantPolynomial", "mckay_series", "verify_series",
-           "kostant_poly", "find_rs", "nimrep_match", "KostantSuite",
-           "kostant_suite", "format_poly"]
+           "mckay_series", "verify_series", "kostant_poly", "find_rs",
+           "nimrep_match", "KostantSuite", "kostant_suite", "format_poly"]
 
 
 class McKayGraphError(ValueError):
@@ -52,13 +52,6 @@ class KostantSeries:
     graph: Graph
     J: int
     n: np.ndarray
-
-
-@dataclass(frozen=True)
-class KostantPolynomial:
-    """p_vertex(q) = sum_i coeffs[i] q^i, certified for the suite's (r, s)."""
-    vertex: int
-    coeffs: tuple[int, ...]
 
 
 def format_poly(coeffs) -> str:
@@ -85,13 +78,15 @@ def mckay_series(graph: Graph, J: int) -> KostantSeries:
 
     Raises McKayGraphError when a coefficient goes negative or exceeds
     the j + 1 bound; both certify the graph is not a McKay graph.
+    Raises ValueError before allocating a table over MAX_ARRAY_BYTES.
     """
     if not graph.affine:
         raise ValueError("mckay_series needs an affine graph")
     if J < 1:
         raise ValueError("truncation must be >= 1")
-    adj = graph.adjacency.astype(np.int64)
     nv = graph.n_vertices
+    check_array_size(f"restriction series to order {J}", J + 1, nv)
+    adj = graph.adjacency.astype(np.int64)
     n = np.zeros((J + 1, nv), dtype=np.int64)
     n[0, graph.star] = 1
     n[1] = adj @ n[0]
@@ -151,10 +146,10 @@ def _product_coeffs(f: np.ndarray, r: int, s: int) -> np.ndarray:
     return p
 
 
-def kostant_poly(series: KostantSeries, r: int,
-                 s: int) -> list[KostantPolynomial]:
+def kostant_poly(series: KostantSeries, r: int, s: int) -> np.ndarray:
     """Certify f_g (1 - q^r)(1 - q^s) as a degree <= h polynomial,
-    h = r + s - 2.
+    h = r + s - 2, and return the read-only int64 table P of shape
+    (vertices, h + 1) whose row g holds p_g: p_g(q) = sum_i P[g, i] q^i.
 
     The tail must vanish on the whole window (h, J - r - s] and the
     surviving coefficients must be non-negative integers with
@@ -182,26 +177,25 @@ def kostant_poly(series: KostantSeries, r: int,
         raise CertificationError(
             f"(r, s) = ({r}, {s}): vertex {g} has negative "
             f"coefficient {int(p[i, g])} at degree {i}")
-    polys = [KostantPolynomial(vertex=g, coeffs=tuple(c))
-             for g, c in enumerate(head.T.tolist())]
-    star = polys[series.graph.star].coeffs
-    want = tuple(1 if i in (0, h) else 0 for i in range(h + 1))
-    if star != want:
+    P = head.T.copy()
+    star = P[series.graph.star]
+    if star.tolist() != [int(i in (0, h)) for i in range(h + 1)]:
         raise CertificationError(
             f"(r, s) = ({r}, {s}): extension-vertex polynomial "
             f"{format_poly(star)} != 1 + q^{h}")
-    return polys
+    P.setflags(write=False)
+    return P
 
 
 def find_rs(series: KostantSeries, h: int, group_order: int
-            ) -> tuple[tuple[int, int], list[KostantPolynomial], Report]:
+            ) -> tuple[tuple[int, int], np.ndarray, Report]:
     """Search all pairs r <= s with r + s = h + 2 and certify.
 
-    Returns the first certifying pair, its polynomials and a report; the
-    products r*s vs the group order and vs twice the group order are
-    reported without being asserted either way.
+    Returns the first certifying pair, its kostant_poly table and a
+    report; the products r*s vs the group order and vs twice the group
+    order are reported without being asserted either way.
     """
-    successes: dict[tuple[int, int], list[KostantPolynomial]] = {}
+    successes: dict[tuple[int, int], np.ndarray] = {}
     for r in range(1, (h + 2) // 2 + 1):
         s = h + 2 - r
         try:
@@ -212,7 +206,7 @@ def find_rs(series: KostantSeries, h: int, group_order: int
         raise CertificationError(
             f"no pair with r + s = {h + 2} certifies; "
             f"graph is not affine ADE at Coxeter number {h}")
-    (r, s), polys = next(iter(successes.items()))
+    (r, s), P = next(iter(successes.items()))
     checks = [
         Check("certified", True,
               f"(r, s) = ({r}, {s}) yields polynomial restriction series"),
@@ -223,15 +217,16 @@ def find_rs(series: KostantSeries, h: int, group_order: int
         Check("rs-vs-double-group-order", r * s == 2 * group_order,
               f"r*s = {r * s}, 2|G| = {2 * group_order}", skipped=True),
     ]
-    return (r, s), polys, Report(title=f"pair search ({series.graph.name}, "
-                                       f"h = {h})", checks=tuple(checks))
+    return (r, s), P, Report(title=f"pair search ({series.graph.name}, "
+                                   f"h = {h})", checks=tuple(checks))
 
 
 def nimrep_match(graph: Graph, series: KostantSeries, r: int, s: int,
-                 polys: list[KostantPolynomial]) -> Report:
+                 P: np.ndarray) -> Report:
     """Kostant polynomial coefficients against nimrep generator entries.
 
-    polys are the certified kostant_poly(series, r, s).  The nimrep is
+    P is the certified table kostant_poly(series, r, s), which is
+    padded with zeros to degree h + 2 for the identities.  The nimrep is
     built at level k = h - 2 with h = r + s - 2.  For each ordinary
     vertex g the coefficient of q^(j+1) in p_g must equal
     G_j[iota, g], iota = graph.iota; the three-term identity and the
@@ -248,8 +243,7 @@ def nimrep_match(graph: Graph, series: KostantSeries, r: int, s: int,
         raise ValueError("nimrep_match compares against the ordinary graph")
     soft = graph.name.upper().startswith("A")
     width = h + 3
-    P = np.zeros((len(polys), width), dtype=np.int64)
-    P[:, :h + 1] = [p.coeffs for p in polys]
+    P = np.pad(P, ((0, 0), (0, width - P.shape[1])))
     adj_hat = series.graph.adjacency.astype(np.int64)
     star = series.graph.star
     checks: list[Check] = []
@@ -271,13 +265,8 @@ def nimrep_match(graph: Graph, series: KostantSeries, r: int, s: int,
                         f"vertex, max deviation {dev}"))
 
     # star row and Omega, via Omega := (1 + q^2) p_* - q p_iota
-    p_star = P[star]
-    p_iota = P[iota]
-    omega = p_star.copy()
-    omega[2:] += p_star[:-2]
-    q_piota = np.roll(p_iota, 1)
-    q_piota[0] = 0
-    omega = omega - q_piota
+    omega = rhs[star].copy()
+    omega[1:] -= P[iota, :-1]
     star_lhs = lhs[star]
     star_rhs = rhs[star] - omega
     ok = np.array_equal(star_lhs, star_rhs)
@@ -319,7 +308,7 @@ class KostantSuite:
     name: str
     series: KostantSeries
     rs: tuple[int, int]
-    polys: tuple[KostantPolynomial, ...]
+    polys: np.ndarray                     # kostant_poly table for rs
     series_report: Report
     rs_report: Report
     match_report: Report
@@ -347,5 +336,5 @@ def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
     (r, s), polys, rs_report = find_rs(series, h, meta.group_order)
     match_report = nimrep_match(ordinary, series, r, s, polys)
     return KostantSuite(name=ordinary.name, series=series, rs=(r, s),
-                        polys=tuple(polys), series_report=series_report,
+                        polys=polys, series_report=series_report,
                         rs_report=rs_report, match_report=match_report)

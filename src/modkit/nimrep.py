@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Graph
-from .fusion_core import FusionSystem, is_permutation_matrix
+from .fusion_core import FusionSystem, check_array_size, is_permutation_matrix
 from .modular_data import ModularData
 from .reports import Check, Report
 
@@ -61,12 +61,14 @@ class Nimrep:
 
 def build_nimrep_su2(graph: Graph, k: int) -> Nimrep:
     """Chebyshev family over an ordinary graph; raises NimrepBuildError
-    when the level does not match the graph."""
+    when the level does not match the graph, and ValueError before
+    allocating generators over MAX_ARRAY_BYTES."""
     if graph.affine:
         raise ValueError("nimreps are built over ordinary graphs")
     if k < 1:
         raise ValueError("level must be >= 1")
     nv = graph.n_vertices
+    check_array_size(f"nimrep of {k + 1} generators", k + 1, nv, nv)
     adj = graph.adjacency.astype(np.int64)
     mats = [np.eye(nv, dtype=np.int64), adj.copy()]
     for j in range(1, k):

@@ -423,3 +423,12 @@ def test_oversized_fusion_tensor_exits_1(tmp_path):
                                "twists": None}))
     _assert_clean_error(run("modular", "--system", str(big)),
                         "fusion tensor of rank 20000 needs")
+
+
+def test_oversized_graph_inputs_exit_1():
+    # refused before the (J + 1, 9) series table or the edge list is built
+    _assert_clean_error(
+        run("kostant", "--graph", "E8", "--truncation", str(10 ** 12)),
+        "restriction series to order 1000000000000 needs")
+    _assert_clean_error(run("catalog", "--graph", "A100000000"),
+                        "adjacency matrix of A100000000 needs")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from modkit.fusion_core import (
     quantum_dimensions,
     verify_fusion_axioms,
 )
-from modkit.catalog import gen_cyclic, gen_su2
+from modkit.catalog import ade_graph, affine_ade, gen_cyclic, gen_su2
+from modkit.kostant import mckay_series
+from modkit.nimrep import build_nimrep_su2
 
 from oracles import su2_dims, su2_twist_fractions, su2_verlinde_fusion
 from fractions import Fraction
@@ -49,6 +53,27 @@ def test_fusion_tensor_size_refused_before_allocation():
         gen_cyclic(10000)
     with pytest.raises(ValueError, match="rank 441 "):
         product_system(gen_cyclic(21), gen_cyclic(21))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ade_graph("A100000000"),
+     "adjacency matrix of A100000000 needs 76293945312 MiB"),
+    (lambda: mckay_series(affine_ade("E8"), 10 ** 12),
+     "restriction series to order 1000000000000 needs 68664551 MiB"),
+    (lambda: build_nimrep_su2(ade_graph("A3"), 10 ** 9),
+     "nimrep of 1000000001 generators needs 68665 MiB"),
+], ids=["ade_graph", "mckay_series", "build_nimrep_su2"])
+def test_graph_arrays_refused_before_allocation(build, message):
+    # the same MAX_ARRAY_BYTES check as the fusion tensor, made before the
+    # edge list, the series table or the first generator is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_su2_unit_and_conjugation(su2):

@@ -152,13 +152,16 @@ def test_search_does_not_depend_on_the_basis(monkeypatch, md, enum,
     # entries (D = 2); every su(2) and product basis the suite meets has
     # D = 1, so only this reaches the two integrality rules of the search
     want = enum(28).invariants
-    cells, K, _, _, bounds = commutant_basis(md(28))
+    cells, K, _, _, _ = commutant_basis(md(28))
     pivots = [cells.index(c) for c in pivot_cells]
     C = K @ np.linalg.inv(K[pivots])
     K2 = np.rint(2 * C).astype(np.int64)
     assert np.allclose(K2, 2 * C, rtol=0, atol=1e-9) and np.any(K2 % 2)
-    monkeypatch.setattr(ie, "commutant_basis",
-                        lambda m: (cells, K2, 2, pivots, bounds))
+    # the denominator scan finds the lcm 2, not a multiple of it
+    monkeypatch.setattr(ie, "_select_pivots", lambda V, c, b: pivots)
+    _, got_K, D, got_pivots, _ = commutant_basis(md(28))
+    assert D == 2 and got_pivots == pivots
+    assert np.array_equal(got_K, K2)
     got = enumerate_invariants(md(28)).invariants
     assert len(got) == len(want) == 3
     assert _as_set(got) == _as_set(want)
@@ -187,6 +190,21 @@ def test_irrational_basis_raises(monkeypatch):
     monkeypatch.setattr(ie, "commutant_equations", with_irrational_row)
     with pytest.raises(EnumerationError, match="not rational"):
         enumerate_invariants(modular_data(gen_su2(16)))
+
+
+def test_basis_over_the_denominator_limit_raises(monkeypatch):
+    # entries 1/31 and 1/37 are each within reach of SNAP_DEN = 1000,
+    # but no D <= 1000 clears both: their lcm is 1147
+    md = modular_data(gen_su2(16))
+    cells = free_cells(md.system)
+    V = np.zeros((len(cells), 2))
+    V[cells.index((0, 0))] = [1, 0]
+    V[cells.index((2, 2))] = [0, 1]
+    V[cells.index((0, 16))] = [1 / 31, 0]
+    V[cells.index((16, 16))] = [1 / 37, 0]
+    monkeypatch.setattr(ie, "_nullspace", lambda A: V)
+    with pytest.raises(EnumerationError, match="not rational"):
+        commutant_basis(md)
 
 
 def test_commutant_basis_memory():
