@@ -48,6 +48,7 @@ COMMANDS = [
     *_both("modular --system {tmp}/z2z3.json"),
     *_both("modular --system {tmp}/z5.json"),
     *_both("modular --system {tmp}/z2.json"),
+    "modular --system {tmp}/untwisted.json --format machine",
     "modular --level 100000 --format machine",
     "modular --format text",
     *[f"enum --level {k} --format machine" for k in range(1, 57)],
@@ -70,6 +71,8 @@ COMMANDS = [
     *[c for form in ("id", "d10", "e7") for c in _both(
         f"chiral --level 16 --invariant {{tmp}}/z16_{form}.json")],
     *_both("chiral --system {tmp}/z2z3.json --invariant {tmp}/z2z3_deg.json"),
+    "chiral --system {tmp}/untwisted.json --invariant {tmp}/z2_id.json "
+    "--format text",
     "chiral --level 16 --invariant {tmp}/negative.json --format text",
     "chiral --level 16 --invariant {tmp}/vacuum0.json --format text",
     "chiral --level 16 --invariant {tmp}/off_cells.json --format text",
@@ -117,6 +120,8 @@ def _write_inputs(tmp: Path) -> None:
         dump(name, {"format": "coupling-matrix", "Z": Z})
 
     dump("z2.json", {"format": "fusion-system", **_cyclic(2, [[0, 1]] * 2)})
+    # malformed: a fusion system must carry its twists
+    dump("untwisted.json", {"format": "fusion-system", **_cyclic(2, None)})
     z5 = [Fraction(a * a, 5) % 1 for a in range(5)]
     dump("z5.json", {"format": "fusion-system",
                      **_cyclic(5, [[t.numerator, t.denominator] for t in z5])})
@@ -134,6 +139,7 @@ def _write_inputs(tmp: Path) -> None:
         "conjugation": [3 * ((-a1) % 2) + (-a2) % 3 for a1, a2 in pairs],
         "twists": [[t.numerator, t.denominator] for t in twist]})
     matrix("z2z3_deg.json", _z_blocks(6, [(0, 3), (1, 4), (2, 5)]))
+    matrix("z2_id.json", _z_blocks(2, [(0,), (1,)]))
     matrix("z16_id.json", _z_blocks(17, [(a,) for a in range(17)]))
     d10 = _z_blocks(17, [(a, 16 - a) for a in (0, 2, 4, 6)])
     d10[8][8] = 2

@@ -116,8 +116,10 @@ def affine_ade(name: str) -> Graph:
     The A series closes into a cycle (the extension vertex joins both
     path ends); A1 degenerates to a double bond stored as adjacency 2.
     All other families attach '*' by a single edge at the iota vertex.
+    ValueError when the extended matrix would exceed MAX_ARRAY_BYTES.
     """
     family, ell = parse_ade_name(name)
+    check_array_size(f"adjacency matrix of {family}{ell}^", ell + 1, ell + 1)
     ordinary = ade_graph(name)
     n = ordinary.n_vertices
     adj = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -200,9 +202,9 @@ def gen_su2(k: int) -> FusionSystem:
     return make_fusion_system([str(j) for j in range(n)], N, range(n), twists)
 
 
-def gen_cyclic(n: int, twists=None) -> FusionSystem:
+def gen_cyclic(n: int, twists) -> FusionSystem:
     """Cyclic system on Z_n: fusion is addition mod n, conjugation is
-    negation.  twists, when given, is one rational per label (t_0 = 0)."""
+    negation.  twists is one rational per label (t_0 = 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_fusion_size(n)

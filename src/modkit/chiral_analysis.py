@@ -20,9 +20,8 @@ and zero outside Gamma, then certifies Omega- and Y-commutation and the
 closure assumption that Y rows outside Gamma pair to zero with the
 vacuum column over Gamma.
 
-The checks and the construction take a FusionSystem with twists: they
-need only Y and Omega, so fully degenerate systems (where S does not
-exist) are first-class inputs.
+The checks and the construction need only Y and Omega, so fully
+degenerate systems (where S does not exist) are first-class inputs.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion_core import (FusionSystem, check_fusion_size, make_fusion_system,
-                          normalize_twist)
+from .fusion_core import FusionSystem, check_fusion_size, make_fusion_system
 from .invariant_enum import on_free_cells
 from .modular_data import (ModularData, build_Y, degenerate_sectors,
                            twist_phases)
@@ -155,8 +153,6 @@ def degenerate_invariant(F: FusionSystem, gamma, theta,
     dimension.  Raises YClosureError when a row outside Gamma fails the
     closure assumption sum_{g in Gamma} conj(Y[lam, g]) Y[0, g] = 0.
     """
-    if F.twists is None:
-        raise ValueError("fusion system carries no twists")
     gamma = sorted(set(int(g) for g in gamma))
     theta = sorted(set(int(t) for t in theta))
     gset = set(gamma)
@@ -228,10 +224,7 @@ def product_system(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
     labels = [f"({l1},{l2})" for l1 in F1.labels for l2 in F2.labels]
     conj = [F1.conj[a1] * n2 + F2.conj[a2]
             for a1 in range(n1) for a2 in range(n2)]
-    twists = None
-    if F1.twists is not None and F2.twists is not None:
-        twists = [normalize_twist(F1.twists[a1] + F2.twists[a2])
-                  for a1 in range(n1) for a2 in range(n2)]
+    twists = [t1 + t2 for t1 in F1.twists for t2 in F2.twists]
     return make_fusion_system(labels, N, conj, twists)
 
 

@@ -7,8 +7,8 @@ bytes.  Readers exist only for the formats a command reads back; the
 modular-data and graph files are exports.
 
 formats:
-  fusion-system      labels, sparse fusion quadruples, conjugation, twists
-                     (read by --system FILE)
+  fusion-system      labels, sparse fusion quadruples, conjugation and
+                     one [num, den] twist per label (read by --system FILE)
   modular-data       fusion-system fields plus S (split re/im), z, c
                      (written by modular --out)
   graph              named adjacency matrix with affine marking
@@ -63,11 +63,8 @@ def _field(obj: dict, key: str, kind: type):
     return obj[key]
 
 
-def _twists_in(raw):
-    if raw is None:
-        return None
-    if type(raw) is not list:
-        raise ValueError("twists must be a list of [num, den] pairs or null")
+def _twists_in(obj: dict) -> list[Fraction]:
+    raw = _field(obj, "twists", list)
     for pair in raw:
         if (type(pair) is not list or len(pair) != 2
                 or any(type(x) is not int for x in pair) or not pair[1]):
@@ -87,8 +84,7 @@ def fusion_system_dict(F: FusionSystem) -> dict:
         "rank": F.n,
         "fusion": quads,
         "conjugation": list(F.conj),
-        "twists": None if F.twists is None else [[t.numerator, t.denominator]
-                                                 for t in F.twists],
+        "twists": [[t.numerator, t.denominator] for t in F.twists],
     }
 
 
@@ -117,7 +113,7 @@ def fusion_system_from_dict(obj: dict) -> FusionSystem:
     conj = _field(obj, "conjugation", list)
     if any(type(x) is not int for x in conj):
         raise ValueError("conjugation must list integer labels")
-    F = make_fusion_system(labels, N, conj, _twists_in(obj.get("twists")))
+    F = make_fusion_system(labels, N, conj, _twists_in(obj))
     for a, b in enumerate(F.conj):
         if F.N[a, b, 0] != 1:
             raise ValueError(f"conjugation disagrees with fusion: "

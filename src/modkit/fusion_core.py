@@ -35,8 +35,8 @@ class FusionSystem:
 
     N[a, b, c] is the fusion coefficient of c in a x b.  conj is the
     dual permutation.  d is the quantum-dimension vector (d[0] = 1) and
-    w = sum(d**2) the global index.  twists, when present, are the
-    statistics phases as exact rationals t with omega = exp(2*pi*i*t).
+    w = sum(d**2) the global index.  twists are the statistics phases
+    as exact rationals t in [0, 1) with omega = exp(2*pi*i*t), t_0 = 0.
     """
 
     labels: tuple[str, ...]
@@ -44,7 +44,7 @@ class FusionSystem:
     conj: tuple[int, ...]
     d: np.ndarray
     w: float
-    twists: tuple[Fraction, ...] | None = None
+    twists: tuple[Fraction, ...]
 
     @property
     def n(self) -> int:
@@ -70,8 +70,9 @@ def check_fusion_size(n: int) -> None:
     check_array_size(f"fusion tensor of rank {n}", n, n, n)
 
 
-def make_fusion_system(labels, N, conj, twists=None) -> FusionSystem:
-    """Validate shapes, compute Perron-Frobenius dimensions, freeze arrays."""
+def make_fusion_system(labels, N, conj, twists) -> FusionSystem:
+    """Validate shapes, reduce the twists (one rational per label) mod 1,
+    compute Perron-Frobenius dimensions, freeze arrays."""
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     N = np.ascontiguousarray(np.asarray(N, dtype=np.int64))
@@ -83,12 +84,11 @@ def make_fusion_system(labels, N, conj, twists=None) -> FusionSystem:
     conj = tuple(int(x) for x in conj)
     if sorted(conj) != list(range(n)):
         raise ValueError("conjugation is not a permutation")
-    if twists is not None:
-        twists = tuple(normalize_twist(t) for t in twists)
-        if len(twists) != n:
-            raise ValueError("twist count mismatch")
-        if twists[0] != 0:
-            raise ValueError("unit label must have twist 0")
+    twists = tuple(normalize_twist(t) for t in twists)
+    if len(twists) != n:
+        raise ValueError("twist count mismatch")
+    if twists[0] != 0:
+        raise ValueError("unit label must have twist 0")
     d = quantum_dimensions(N)
     d.setflags(write=False)
     N.setflags(write=False)

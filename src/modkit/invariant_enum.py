@@ -89,8 +89,6 @@ class BudgetExceededError(EnumerationError):
 
 def twist_classes(F: FusionSystem) -> list[list[int]]:
     """Labels grouped by exact twist value, in order of first appearance."""
-    if F.twists is None:
-        raise ValueError("fusion system carries no twists")
     groups: dict[Fraction, list[int]] = {}
     for a, t in enumerate(F.twists):
         groups.setdefault(t, []).append(a)

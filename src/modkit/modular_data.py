@@ -76,8 +76,6 @@ class DichotomyViolation(RuntimeError):
 
 def twist_phases(F: FusionSystem) -> np.ndarray:
     """omega_lambda = exp(2 pi i t_lambda) as a complex vector."""
-    if F.twists is None:
-        raise ValueError("fusion system carries no twists")
     return np.array([cmath.exp(2j * math.pi * float(t)) for t in F.twists])
 
 
@@ -259,8 +257,6 @@ def modular_data_mp(F: FusionSystem) -> np.ndarray:
     by less than 2^-FIXED_BITS.  Used by mp_residual to re-certify
     enumeration output far below float round-off.
     """
-    if F.twists is None:
-        raise ValueError("fusion system carries no twists")
     n = F.n
     M = F.N.sum(axis=0)
     rows = [[(r, int(M[m, r])) for r in np.nonzero(M[m])[0]]

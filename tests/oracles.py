@@ -75,6 +75,17 @@ def brute_force_invariants(k: int, tol: float = 1e-9) -> list[np.ndarray]:
                    tol)
 
 
+def product_brute_force(a: int, b: int,
+                        tol: float = 1e-9) -> list[np.ndarray]:
+    """All coupling matrices of su(2)_a x su(2)_b: S and the dimensions
+    are Kronecker products, twists add mod 1, and the pair (x, y) is
+    label x (b + 1) + y."""
+    t = [(ta + tb) % 1 for ta in su2_twist_fractions(a)
+         for tb in su2_twist_fractions(b)]
+    return _search(np.kron(su2_sine_smatrix(a), su2_sine_smatrix(b)), t,
+                   np.kron(su2_dims(a), su2_dims(b)), tol)
+
+
 def cyclic_twist_fractions(n: int, q: int) -> list[Fraction]:
     """t_a = q a^2 / m mod 1 on Z_n, m = n for odd n and 2n for even n."""
     m = n if n % 2 else 2 * n

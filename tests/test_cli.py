@@ -410,6 +410,23 @@ def test_chiral_rejects_negative_coupling_matrix(tmp_path):
     _assert_clean_error(p, "Z entries must be non-negative")
 
 
+def test_system_without_twists_exits_1(tmp_path):
+    # every fusion system carries its twists, so the loader refuses a
+    # file whose twists are null before chiral can read them
+    sysfile = tmp_path / "z2.json"
+    sysfile.write_text(json.dumps({"format": "fusion-system", "version": 1,
+                                   "labels": ["0", "1"], "rank": 2,
+                                   "fusion": [[a, b, (a + b) % 2, 1]
+                                              for a in range(2)
+                                              for b in range(2)],
+                                   "conjugation": [0, 1], "twists": None}))
+    zfile = tmp_path / "z.json"
+    zfile.write_text(json.dumps({"format": "coupling-matrix", "version": 1,
+                                 "Z": [[1, 0], [0, 1]]}))
+    p = run("chiral", "--system", str(sysfile), "--invariant", str(zfile))
+    _assert_clean_error(p, "field 'twists' must be of type list")
+
+
 def test_oversized_fusion_tensor_exits_1(tmp_path):
     # refused before the (n, n, n) tensor is allocated, so no MemoryError
     _assert_clean_error(run("modular", "--level", "100000"),
@@ -420,7 +437,7 @@ def test_oversized_fusion_tensor_exits_1(tmp_path):
                                "labels": [str(i) for i in range(n)],
                                "rank": n, "fusion": [],
                                "conjugation": list(range(n)),
-                               "twists": None}))
+                               "twists": [[0, 1]] * n}))
     _assert_clean_error(run("modular", "--system", str(big)),
                         "fusion tensor of rank 20000 needs")
 

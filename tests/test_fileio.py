@@ -118,21 +118,29 @@ def test_malformed_twist_or_conjugation_rejected(su2, key, value):
         fusion_system_from_dict(obj)
 
 
+_MISSING = object()                       # delete the field instead
+
+
 @pytest.mark.parametrize("key, value, match", [
     ("labels", ["0", "0", "2", "3"], "distinct"),
     ("labels", 4, "'labels' must be of type list"),
     ("fusion", 7, "'fusion' must be of type list"),
+    ("twists", None, "'twists' must be of type list, not NoneType"),
+    ("twists", _MISSING, "missing field 'twists'"),
 ])
 def test_malformed_field_rejected(su2, key, value, match):
     obj = fusion_system_dict(su2(3))
-    obj[key] = value
+    if value is _MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
     with pytest.raises(ValueError, match=match):
         fusion_system_from_dict(obj)
 
 
 def test_conjugation_disagreeing_with_fusion_rejected():
     # Z_5 with the identity as conjugation: N[1, 1, 0] = 0, not 1
-    obj = fusion_system_dict(gen_cyclic(5))
+    obj = fusion_system_dict(gen_cyclic(5, [0] * 5))
     obj["conjugation"] = list(range(5))
     with pytest.raises(ValueError, match=r"N\[1, 1, 0\] = 0"):
         fusion_system_from_dict(obj)

@@ -50,9 +50,9 @@ def test_fusion_tensor_size_refused_before_allocation():
     with pytest.raises(ValueError, match="rank 407 "):
         gen_su2(406)
     with pytest.raises(ValueError, match="rank 10000 "):
-        gen_cyclic(10000)
+        gen_cyclic(10000, [0] * 10000)
     with pytest.raises(ValueError, match="rank 441 "):
-        product_system(gen_cyclic(21), gen_cyclic(21))
+        product_system(gen_cyclic(21, [0] * 21), gen_cyclic(21, [0] * 21))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -62,7 +62,10 @@ def test_fusion_tensor_size_refused_before_allocation():
      "restriction series to order 1000000000000 needs 68664551 MiB"),
     (lambda: build_nimrep_su2(ade_graph("A3"), 10 ** 9),
      "nimrep of 1000000001 generators needs 68665 MiB"),
-], ids=["ade_graph", "mckay_series", "build_nimrep_su2"])
+    # A8192 itself fits at exactly 512 MiB; its extension does not
+    (lambda: affine_ade("A8192"),
+     r"adjacency matrix of A8192\^ needs 512 MiB, over the 512 MiB limit"),
+], ids=["ade_graph", "mckay_series", "build_nimrep_su2", "affine_ade"])
 def test_graph_arrays_refused_before_allocation(build, message):
     # the same MAX_ARRAY_BYTES check as the fusion tensor, made before the
     # edge list, the series table or the first generator is built
@@ -129,7 +132,7 @@ def test_verify_fusion_axioms_passes(su2):
 
 
 def test_cyclic_group_ring():
-    F = gen_cyclic(5)
+    F = gen_cyclic(5, [0] * 5)
     for a in range(5):
         for b in range(5):
             want = np.zeros(5, dtype=F.N.dtype)
@@ -144,7 +147,7 @@ def test_broken_conjugation_flagged():
     N = np.zeros((2, 2, 2), dtype=np.int64)
     N[0, 0, 0] = N[0, 1, 1] = N[1, 0, 1] = 1
     N[1, 1, 1] = 1
-    F = make_fusion_system(("0", "1"), N, conj=(0, 1))
+    F = make_fusion_system(("0", "1"), N, conj=(0, 1), twists=(0, 0))
     assert not verify_fusion_axioms(F).ok
 
 
@@ -154,7 +157,7 @@ def test_negative_fusion_coefficient_rejected():
     N[1, 0, 1] = N[1, 1, 0] = 1
     N[1, 1, 1] = -1
     with pytest.raises(ValueError):
-        make_fusion_system(("0", "1"), N, conj=(0, 1))
+        make_fusion_system(("0", "1"), N, conj=(0, 1), twists=(0, 0))
 
 
 @settings(deadline=None, max_examples=12)
@@ -176,6 +179,6 @@ def test_su2_axioms_property(k):
 @settings(deadline=None, max_examples=10)
 @given(st.integers(min_value=2, max_value=9))
 def test_cyclic_dimensions_property(n):
-    F = gen_cyclic(n)
+    F = gen_cyclic(n, [0] * n)
     assert F.w == pytest.approx(n)
     assert np.max(np.abs(quantum_dimensions(F.N) - 1.0)) < 1e-12

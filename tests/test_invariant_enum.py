@@ -32,7 +32,8 @@ from modkit.modular_data import (
     mp_residual,
 )
 
-from oracles import brute_force_invariants, coupling_forms
+from oracles import (brute_force_invariants, coupling_forms,
+                     product_brute_force)
 
 
 def _as_set(mats):
@@ -45,6 +46,15 @@ def test_oracle_equivalence_small_levels(enum):
         want = _as_set(brute_force_invariants(k))
         got = _as_set(enum(k).invariants)
         assert got == want, f"level {k}"
+
+
+def test_product_oracle_equivalence():
+    # exhaustive search on Kronecker-product S, dimensions and twists;
+    # (2, 2) has 4.2 M candidates and is left out
+    for a, b in [(1, 1), (1, 2), (1, 3), (2, 3), (1, 4)]:
+        F = product_system(gen_su2(a), gen_su2(b))
+        got = _as_set(enumerate_invariants(modular_data(F)).invariants)
+        assert got == _as_set(product_brute_force(a, b)), (a, b)
 
 
 def test_catalogue_matches_frozen_forms(enum):
