@@ -14,8 +14,8 @@ trees print the same JSON exactly when every output byte agrees:
     python3 scripts/machine_digests.py /path/to/other/checkout/src > old.json
     diff old.json new.json
 
-A run takes about 40 s on a 2-vCPU VM; every command runs with one BLAS
-thread.
+A run of its 146 commands takes about 40 s on a 2-vCPU VM; every
+command runs with one BLAS thread.
 """
 
 import hashlib
@@ -49,6 +49,7 @@ COMMANDS = [
     *_both("modular --system {tmp}/z5.json"),
     *_both("modular --system {tmp}/z2.json"),
     "modular --system {tmp}/untwisted.json --format machine",
+    "modular --system {tmp}/steiner10.json --format machine",
     "modular --level 100000 --format machine",
     "modular --format text",
     *[f"enum --level {k} --format machine" for k in range(1, 57)],
@@ -56,6 +57,7 @@ COMMANDS = [
     *_both("enum --level 16 --out {tmp}/cat16.json"),
     *_both("enum --system {tmp}/z2z3.json"),
     *_both("enum --system {tmp}/z5.json"),
+    "enum --system {tmp}/z3_bad.json --format text",
     "enum --level 16 --tolerance 1e-20 --format machine",
     "enum --level 28 --budget 5 --format machine",
     *_both("nimrep --graph E7 --level 16"),
@@ -111,6 +113,26 @@ def _cyclic(n: int, twists) -> dict:
             "twists": twists}
 
 
+def _steiner10() -> dict:
+    """The Steiner loop of order 10: unit 0, a a = 0 and a b = c on each
+    line {a, b, c} of the affine plane over Z_3, whose point (x, y) is
+    label 3x + y + 1.  Unit, conjugation and Frobenius reciprocity hold;
+    associativity fails at (1 x 2) x 4 != 1 x (2 x 4)."""
+    def product(a: int, b: int) -> int:
+        if a == b:
+            return 0
+        if a == 0 or b == 0:
+            return a + b
+        (x1, y1), (x2, y2) = divmod(a - 1, 3), divmod(b - 1, 3)
+        return 3 * (-(x1 + x2) % 3) + (-(y1 + y2) % 3) + 1
+    return {"labels": [str(a) for a in range(10)],
+            "rank": 10,
+            "fusion": [[a, b, product(a, b), 1]
+                       for a in range(10) for b in range(10)],
+            "conjugation": list(range(10)),
+            "twists": [[0, 1]] * 10}
+
+
 def _write_inputs(tmp: Path) -> None:
     def dump(name: str, obj: dict) -> None:
         (tmp / name).write_text(json.dumps({"version": 1, **obj},
@@ -122,6 +144,11 @@ def _write_inputs(tmp: Path) -> None:
     dump("z2.json", {"format": "fusion-system", **_cyclic(2, [[0, 1]] * 2)})
     # malformed: a fusion system must carry its twists
     dump("untwisted.json", {"format": "fusion-system", **_cyclic(2, None)})
+    # malformed: Z_3 with 1 x 1 = 0, which contradicts its conjugation
+    z3 = _cyclic(3, [[0, 1], [1, 3], [1, 3]])
+    z3["fusion"][4] = [1, 1, 0, 1]
+    dump("z3_bad.json", {"format": "fusion-system", **z3})
+    dump("steiner10.json", {"format": "fusion-system", **_steiner10()})
     z5 = [Fraction(a * a, 5) % 1 for a in range(5)]
     dump("z5.json", {"format": "fusion-system",
                      **_cyclic(5, [[t.numerator, t.denominator] for t in z5])})

@@ -17,9 +17,7 @@ from .chiral_analysis import (GlobalIndices, YClosureError,
                               global_indices, product_system,
                               verify_extension)
 from .fusion_core import (DegenerateFusionError, FusionSystem,
-                          is_permutation_matrix,
-                          make_fusion_system, quantum_dimensions,
-                          verify_fusion_axioms)
+                          is_permutation_matrix, make_fusion_system)
 from .invariant_enum import (BudgetExceededError, EnumerationError,
                              EnumerationResult, build_records,
                              enumerate_invariants, free_cells,
@@ -45,8 +43,7 @@ __all__ = [
     "degenerate_invariant", "global_indices", "product_system",
     "verify_extension",
     "DegenerateFusionError", "FusionSystem",
-    "is_permutation_matrix", "make_fusion_system", "quantum_dimensions",
-    "verify_fusion_axioms",
+    "is_permutation_matrix", "make_fusion_system",
     "BudgetExceededError", "EnumerationError", "EnumerationResult",
     "build_records", "enumerate_invariants", "free_cells",
     "matrix_stats", "twist_factor", "twist_classes", "type_I_factor",

@@ -25,7 +25,7 @@ from .fileio import (catalog_dict, dumps_canonical, graph_dict,
                      load_invariant_catalog, modular_data_dict, save_graph,
                      save_invariant_catalog, save_modular_data)
 from .invariant_enum import (build_records, enumerate_invariants,
-                             matrix_stats, type_I_factor)
+                             matrix_record)
 # ising_partition is re-exported: perfbench imports it from this module
 from .ising import BOND_CONVENTION, ising_partition
 from .kostant import format_poly, kostant_suite
@@ -233,16 +233,13 @@ def _cmd_degenerate(args) -> int:
     gamma = _parse_labels(F, args.gamma)
     theta = _parse_labels(F, args.theta)
     Z = degenerate_invariant(F, gamma, theta, tol=args.tolerance)
-    b = type_I_factor(Z)
-    record = {"Z": Z.tolist(), **matrix_stats(Z),
-              "type_I": None if b is None else b.tolist(), "twist": None}
     header = {"system": sys_id,
               "gamma": [F.labels[i] for i in gamma],
               "theta": [F.labels[i] for i in theta],
               "tolerance": args.tolerance,
               "tool_version": __version__,
               "count": 1}
-    obj = catalog_dict(header, [record])
+    obj = catalog_dict(header, [matrix_record(Z)])
     if args.out:
         save_invariant_catalog(obj, args.out)
     lines = [f"coupling matrix from degenerate subsystem "

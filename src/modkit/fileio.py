@@ -8,7 +8,8 @@ modular-data and graph files are exports.
 
 formats:
   fusion-system      labels, sparse fusion quadruples, conjugation and
-                     one [num, den] twist per label (read by --system FILE)
+                     one [num, den] twist per label, forming an
+                     associative fusion ring (read by --system FILE)
   modular-data       fusion-system fields plus S (split re/im), z, c
                      (written by modular --out)
   graph              named adjacency matrix with affine marking
@@ -26,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import Graph, graph_meta
-from .fusion_core import FusionSystem, check_fusion_size, make_fusion_system
+from .fusion_core import (FusionSystem, check_associativity, check_fusion_size,
+                          make_fusion_system)
 from .modular_data import ModularData
 
 FORMAT_VERSION = 1
@@ -89,7 +91,8 @@ def fusion_system_dict(F: FusionSystem) -> dict:
 
 
 def fusion_system_from_dict(obj: dict) -> FusionSystem:
-    """Validate and build; any malformed field raises ValueError."""
+    """Validate and build a fusion ring, associativity included; any
+    malformed field or failed axiom raises ValueError."""
     n = _field(obj, "rank", int)
     labels = _field(obj, "labels", list)
     if n < 1 or len(labels) != n:
@@ -114,10 +117,7 @@ def fusion_system_from_dict(obj: dict) -> FusionSystem:
     if any(type(x) is not int for x in conj):
         raise ValueError("conjugation must list integer labels")
     F = make_fusion_system(labels, N, conj, _twists_in(obj))
-    for a, b in enumerate(F.conj):
-        if F.N[a, b, 0] != 1:
-            raise ValueError(f"conjugation disagrees with fusion: "
-                             f"N[{a}, {b}, 0] = {F.N[a, b, 0]}, not 1")
+    check_associativity(F.N)
     return F
 
 

@@ -2,10 +2,13 @@
 
 A fusion system is a finite set of sector labels 0..n-1 (0 is the unit)
 with a non-negative integer fusion tensor N[a, b, c] counting the
-multiplicity of sector c in the product a x b, and an involutive
-conjugation permutation.  Quantum dimensions are the Perron-Frobenius
-data of the fusion matrices; they are the unique strictly positive
-common eigenvector of all N_a, normalised at the unit.
+multiplicity of sector c in the product a x b, a conjugation and one
+rational twist per label.  make_fusion_system proves it a fusion ring up
+to associativity: unit, conjugation-unit and Frobenius reciprocity, which
+make the conjugation an involution.  The O(n^5) associativity check runs
+in the file loader only (check_associativity).  Quantum dimensions are
+the Perron-Frobenius data of the fusion matrices; they are the unique
+strictly positive common eigenvector of all N_a, normalised at the unit.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reports import Check, Report
-
 
 # Size limit of one array: an int64 fusion tensor, graph adjacency matrix,
 # restriction series or nimrep (check_array_size), and one copy of the
@@ -26,7 +27,8 @@ MAX_ARRAY_BYTES = 512 << 20
 
 
 class DegenerateFusionError(ValueError):
-    """The fusion graph is reducible; Perron-Frobenius data is ambiguous."""
+    """The power iteration on sum_a N_a did not converge, or its vector
+    is not a common eigenvector of every N_a."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +60,12 @@ def normalize_twist(t) -> Fraction:
 
 def check_array_size(what: str, *shape: int) -> None:
     """Raise ValueError naming `what` when an int64 array of this shape
-    would exceed MAX_ARRAY_BYTES; builders call it before allocating."""
+    would exceed MAX_ARRAY_BYTES; builders call it before allocating.
+    The need is printed in MiB rounded up, so it always reads as more
+    than the limit."""
     need = math.prod(shape) * 8
     if need > MAX_ARRAY_BYTES:
-        raise ValueError(f"{what} needs {need / 2 ** 20:.0f} MiB, over the "
+        raise ValueError(f"{what} needs {-(-need // 2 ** 20)} MiB, over the "
                          f"{MAX_ARRAY_BYTES / 2 ** 20:.0f} MiB limit")
 
 
@@ -71,8 +75,9 @@ def check_fusion_size(n: int) -> None:
 
 
 def make_fusion_system(labels, N, conj, twists) -> FusionSystem:
-    """Validate shapes, reduce the twists (one rational per label) mod 1,
-    compute Perron-Frobenius dimensions, freeze arrays."""
+    """Validate shapes and the fusion-ring axioms except associativity (each
+    failure a ValueError naming the axiom and its first witness), reduce
+    the twists mod 1, compute Perron-Frobenius dimensions, freeze arrays."""
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     N = np.ascontiguousarray(np.asarray(N, dtype=np.int64))
@@ -89,6 +94,17 @@ def make_fusion_system(labels, N, conj, twists) -> FusionSystem:
         raise ValueError("twist count mismatch")
     if twists[0] != 0:
         raise ValueError("unit label must have twist 0")
+    cj, eye = np.asarray(conj), np.eye(n, dtype=np.int64)
+    _require("unit-left fails", N[0], eye, "N[0, {}, {}]")
+    _require("unit-right fails", N[:, 0], eye, "N[{}, 0, {}]")
+    _require("conjugation disagrees with fusion", N[:, :, 0], eye[cj],
+             "N[{}, {}, 0]")
+    _require("Frobenius-left N[a, b, c] = N[conj a, c, b] fails", N,
+             N[cj].transpose(0, 2, 1), "N[{}, {}, {}]")
+    _require("Frobenius-right N[a, b, c] = N[c, conj b, a] fails", N,
+             N[:, cj].transpose(2, 1, 0), "N[{}, {}, {}]")
+    # N[a, conj a, 0] = 1 gives N[0, conj conj a, a] = 1 by Frobenius-right,
+    # so conj conj a = a by unit-left: the conjugation is an involution
     d = quantum_dimensions(N)
     d.setflags(write=False)
     N.setflags(write=False)
@@ -96,39 +112,59 @@ def make_fusion_system(labels, N, conj, twists) -> FusionSystem:
     return FusionSystem(labels=labels, N=N, conj=conj, d=d, w=w, twists=twists)
 
 
-def _require_irreducible(M: np.ndarray) -> None:
-    """The fusion graph (support of M, symmetrised) must be connected."""
-    n = M.shape[0]
-    adj = (M > 0) | (M.T > 0)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    if not seen.all():
-        missing = np.nonzero(~seen)[0].tolist()
-        raise DegenerateFusionError(
-            f"reducible fusion graph: labels {missing} unreachable from the unit"
-        )
+def _require(axiom: str, lhs: np.ndarray, rhs: np.ndarray, entry: str) -> None:
+    """Raise ValueError naming the axiom and its first witness, the first
+    index (in index order) where lhs and rhs differ; entry formats it."""
+    bad = np.argwhere(lhs != rhs)
+    if bad.size:
+        w = tuple(bad[0].tolist())
+        raise ValueError(f"{axiom}: {entry.format(*w)} = {lhs[w]}, "
+                         f"not {rhs[w]}")
+
+
+def check_associativity(N: np.ndarray) -> None:
+    """Raise ValueError at the first (a, b, c, f) where sector f occurs a
+    different number of times in (a x b) x c and in a x (b x c).
+
+    One label a at a time, both sides are (n, n, n) float64 matrix
+    products, so three arrays of the tensor's size are held, never n^4.
+    Every partial sum is an integer of at most n * max(N)^2, exact below
+    2^53; a tensor at or over that bound is refused."""
+    n = N.shape[0]
+    top = int(N.max())
+    if n * top ** 2 >= 2 ** 53:
+        raise ValueError(f"associativity check of rank {n} with fusion "
+                         f"coefficients up to {top} is not exact in float64 "
+                         f"(needs rank * max(N)^2 < 2^53)")
+    Nf = N.astype(np.float64)
+    left, right = np.empty_like(Nf), np.empty_like(Nf)
+    for a in range(n):
+        np.matmul(Nf[a], Nf.reshape(n, n * n), out=left.reshape(n, n * n))
+        np.matmul(Nf.reshape(n * n, n), Nf[a], out=right.reshape(n * n, n))
+        bad = np.argwhere(left != right)
+        if bad.size:
+            b, c, f = bad[0].tolist()
+            raise ValueError(
+                f"associativity fails: sector {f} occurs "
+                f"{int(left[b, c, f])} times in ({a} x {b}) x {c} but "
+                f"{int(right[b, c, f])} times in {a} x ({b} x {c})")
 
 
 def quantum_dimensions(N) -> np.ndarray:
-    """Perron-Frobenius dimension vector of a fusion tensor.
+    """Perron-Frobenius dimension vector of a fusion tensor that passed
+    make_fusion_system's axioms.
 
-    Power-iterates M = sum_a N_a (irreducible with a positive diagonal
-    entry, so the iteration converges) until the eigenvector residual
-    itself is below 1e-14 (relative), and normalises at the unit label.
-    The result is verified to be a common eigenvector to 1e-10: N_a d =
-    d[a] d for every a, which pins d uniquely.
+    Unit-right and conjugation-unit make row 0 and column 0 of
+    M = sum_a N_a all ones, so M is irreducible with a positive diagonal
+    entry and the power iteration converges.  It runs until the
+    eigenvector residual itself is below 1e-14 (relative) and normalises
+    at the unit label.  The result is verified to be a common
+    eigenvector to 1e-10: N_a d = d[a] d for every a, which pins d
+    uniquely.
     """
     N = np.asarray(N, dtype=np.int64)
     n = N.shape[0]
     M = N.sum(axis=0).astype(float)
-    _require_irreducible(M)
     v = np.ones(n)
     for _ in range(200_000):
         u = M @ v
@@ -156,40 +192,3 @@ def is_permutation_matrix(Z: np.ndarray) -> bool:
             and bool(np.all((Z == 0) | (Z == 1)))
             and bool(np.all(Z.sum(axis=0) == 1))
             and bool(np.all(Z.sum(axis=1) == 1)))
-
-
-def verify_fusion_axioms(F: FusionSystem) -> Report:
-    """Check the defining axioms; failures carry witness indices."""
-    N, conj, d, n = F.N, F.conj, F.d, F.n
-    checks = []
-
-    def add(name, ok_mask_or_bool, witness=""):
-        if isinstance(ok_mask_or_bool, (bool, np.bool_)):
-            checks.append(Check(name, ok_mask_or_bool, witness))
-        else:
-            bad = np.argwhere(~ok_mask_or_bool)
-            ok = bad.size == 0
-            detail = "" if ok else f"first witness at {tuple(bad[0].tolist())}"
-            checks.append(Check(name, ok, detail))
-
-    eye = np.eye(n, dtype=np.int64)
-    add("unit-left", N[0] == eye)
-    add("unit-right", N[:, 0, :] == eye)
-
-    lhs = np.einsum("abe,ecf->abcf", N, N)
-    rhs = np.einsum("bce,aef->abcf", N, N)
-    add("associativity", lhs == rhs)
-
-    cj = np.asarray(conj)
-    # N^r_{a,b} = N^b_{abar,r}
-    add("frobenius-left", N == N[cj].transpose(0, 2, 1))
-    # N^r_{a,b} = N^a_{r,bbar}
-    add("frobenius-right", N == N[:, cj, :].transpose(2, 1, 0))
-    add("conjugation-unit", N[:, :, 0] == eye[cj])
-    add("conjugation-involution", cj[cj] == np.arange(n))
-
-    add("dimension-unit", abs(d[0] - 1.0) < 1e-12, f"d[0] = {d[0]!r}")
-    add("dimension-conjugation", np.abs(d - d[cj]) < 1e-12)
-    hom = np.abs(np.einsum("abr,r->ab", N.astype(float), d) - np.outer(d, d))
-    add("dimension-homomorphism", hom < 1e-9 * max(1.0, float(d.max()) ** 2))
-    return Report(f"fusion axioms (n={n})", tuple(checks))

@@ -58,6 +58,7 @@ __all__ = [
     "matrix_stats",
     "type_I_factor",
     "twist_factor",
+    "matrix_record",
     "build_records",
 ]
 
@@ -388,27 +389,25 @@ def twist_factor(Z: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
     return None
 
 
+def matrix_record(Z: np.ndarray) -> dict:
+    """One catalogue record: Z, its stats and its type I factor; "twist"
+    is None until build_records finds a parent."""
+    b = type_I_factor(Z)
+    return {"Z": Z.tolist(), **matrix_stats(Z),
+            "type_I": None if b is None else b.tolist(), "twist": None}
+
+
 def build_records(result: EnumerationResult) -> list[dict]:
     """Catalogue records: stats, type I factor, and for matrices without
     one, the first type I sibling whose rows realise it through a twist."""
-    records: list[dict] = []
-    factors: list[np.ndarray | None] = []
-    for Z in result.invariants:
-        b = type_I_factor(Z)
-        factors.append(b)
-        records.append({
-            "Z": Z.tolist(),
-            **matrix_stats(Z),
-            "type_I": None if b is None else b.tolist(),
-            "twist": None,
-        })
-    for idx, (rec, b) in enumerate(zip(records, factors)):
-        if b is not None:
+    records = [matrix_record(Z) for Z in result.invariants]
+    for Z, rec in zip(result.invariants, records):
+        if rec["type_I"] is not None:
             continue
-        for parent, pb in enumerate(factors):
-            if pb is None:
+        for parent, p in enumerate(records):
+            if p["type_I"] is None:
                 continue
-            theta = twist_factor(result.invariants[idx], pb)
+            theta = twist_factor(Z, p["type_I"])
             if theta is not None:
                 rec["twist"] = {"parent": parent, "theta": list(theta)}
                 break

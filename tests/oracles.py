@@ -64,6 +64,34 @@ def su2_central_charge(k: int) -> Fraction:
     return Fraction(3 * k, k + 2)
 
 
+def associativity_witness(N: np.ndarray) -> tuple[int, int, int, int] | None:
+    """First (a, b, c, f) in index order where sector f occurs a different
+    number of times in (a x b) x c and a x (b x c), from both sides as
+    full n^4 einsums; None when the tensor is associative."""
+    N = np.asarray(N, dtype=np.int64)
+    lhs = np.einsum("abe,ecf->abcf", N, N)
+    rhs = np.einsum("bce,aef->abcf", N, N)
+    bad = np.argwhere(lhs != rhs)
+    return tuple(bad[0].tolist()) if bad.size else None
+
+
+def steiner_loop_10() -> np.ndarray:
+    """Fusion tensor of the Steiner loop of order 10: unit 0, a a = 0, and
+    a b = c on each line {a, b, c} of the affine plane over Z_3, whose
+    point (x, y) is label 3x + y + 1 (three points lie on a line exactly
+    when their coordinates sum to zero mod 3)."""
+    N = np.zeros((10, 10, 10), dtype=np.int64)
+    points = {3 * x + y + 1: (x, y) for x in range(3) for y in range(3)}
+    for a in range(10):
+        N[0, a, a] = N[a, 0, a] = 1
+        N[a, a, 0] = 1
+    for a, (x1, y1) in points.items():
+        for b, (x2, y2) in points.items():
+            if a != b:
+                N[a, b, 3 * (-(x1 + x2) % 3) + (-(y1 + y2) % 3) + 1] = 1
+    return N
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search for coupling matrices at small level
 

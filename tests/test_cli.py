@@ -21,7 +21,7 @@ from modkit.cli import _report_obj, build_parser, main
 from modkit.ising import ising_partition
 from modkit.reports import Check, Report
 
-from oracles import coupling_forms, ising_direct, ising_ring
+from oracles import coupling_forms, ising_direct, ising_ring, steiner_loop_10
 
 
 def run(*args, **kw):
@@ -425,6 +425,29 @@ def test_system_without_twists_exits_1(tmp_path):
                                  "Z": [[1, 0], [0, 1]]}))
     p = run("chiral", "--system", str(sysfile), "--invariant", str(zfile))
     _assert_clean_error(p, "field 'twists' must be of type list")
+
+
+def test_non_fusion_ring_exits_1(tmp_path):
+    # Z_3 with 1 x 1 = 0 and the Steiner loop of order 10 both load at
+    # rank 3 and 10 only if the axioms go unchecked
+    z3 = {"format": "fusion-system", "version": 1,
+          "labels": ["0", "1", "2"], "rank": 3,
+          "fusion": [[a, b, 0 if a == b == 1 else (a + b) % 3, 1]
+                     for a in range(3) for b in range(3)],
+          "conjugation": [0, 2, 1], "twists": [[0, 1], [1, 3], [1, 3]]}
+    (tmp_path / "z3.json").write_text(json.dumps(z3))
+    _assert_clean_error(run("enum", "--system", str(tmp_path / "z3.json")),
+                        "conjugation disagrees with fusion: "
+                        "N[1, 1, 0] = 1, not 0")
+    N = steiner_loop_10()
+    quads = [[*map(int, abc), 1] for abc in np.argwhere(N)]
+    (tmp_path / "steiner.json").write_text(json.dumps(
+        {**z3, "labels": [str(a) for a in range(10)], "rank": 10,
+         "fusion": quads, "conjugation": list(range(10)),
+         "twists": [[0, 1]] * 10}))
+    _assert_clean_error(run("modular", "--system",
+                            str(tmp_path / "steiner.json")),
+                        "associativity fails: sector 5 occurs 0 times")
 
 
 def test_oversized_fusion_tensor_exits_1(tmp_path):

@@ -20,7 +20,10 @@ from modkit.fileio import (
     save_fusion_system,
     save_invariant_catalog,
 )
+from modkit.fusion_core import make_fusion_system
 from modkit.invariant_enum import build_records
+
+from oracles import steiner_loop_10
 
 
 def test_fusion_system_roundtrip(tmp_path, su2):
@@ -144,6 +147,15 @@ def test_conjugation_disagreeing_with_fusion_rejected():
     obj["conjugation"] = list(range(5))
     with pytest.raises(ValueError, match=r"N\[1, 1, 0\] = 0"):
         fusion_system_from_dict(obj)
+
+
+def test_non_associative_system_rejected():
+    # the Steiner loop of order 10 passes unit, conjugation, Frobenius
+    # and the dimension checks; only associativity tells it apart
+    F = make_fusion_system(range(10), steiner_loop_10(), range(10), [0] * 10)
+    with pytest.raises(ValueError, match=r"associativity fails: sector 5 "
+                       r"occurs 0 times in \(1 x 2\) x 4"):
+        fusion_system_from_dict(fusion_system_dict(F))
 
 
 _JSON = st.recursive(
