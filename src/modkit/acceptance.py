@@ -2,10 +2,14 @@
 
 `run_all` executes every criterion and returns one result per line of
 `modkit verify-all`.  Criterion 10 (reproducibility) runs criteria 1-9
-twice and compares the rendered machine lines byte for byte, so a full
-run costs two passes of everything else.  Each pass gets a new Context,
-so modular data and enumerations are recomputed; the fusion systems
-from `gen_su2` are memoised per process and shared by both passes.
+twice and compares the rendered machine lines byte for byte.  The
+second pass runs in a child forked with `os.fork` (POSIX only), at the
+same time as the first, and sends its rendered lines back through a
+pipe.  A full run costs two passes of work, but with one BLAS thread
+per process it takes about one pass of wall time on two cores.  Each
+pass gets a new Context, so modular data and enumerations are
+recomputed in both; the child starts with the fusion systems `gen_su2`
+had memoised before the fork.
 
 The expected coupling matrices at levels 10, 16 and 28 are frozen here
 in closed block form; the small-level criterion instead compares
@@ -15,7 +19,9 @@ strategies certify each other.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -383,17 +389,56 @@ def render_lines(results) -> list[str]:
             for r in results]
 
 
-def run_all() -> list[CriterionResult]:
-    """All ten criteria; the tenth compares two passes of 1-9, each with
-    a new Context (gen_su2's memoised fusion systems are shared)."""
-    first = _pass_1_to_9()
-    second = _pass_1_to_9()
-    a, b = render_lines(first), render_lines(second)
+def _second_pass(read_fd: int, write_fd: int) -> None:
+    """Child side: render criteria 1-9 into the pipe, then end the
+    process without running atexit handlers or flushing inherited
+    buffers.  Exit status 0 means the whole JSON list was written."""
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(json.dumps(render_lines(_pass_1_to_9())).encode())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _compare(a: list[str], data: bytes, status: int) -> tuple[bool, str]:
+    """Criterion 10's verdict on the child's exit status and output."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return False, f"second pass killed by signal {-code}"
+    if code:
+        return False, f"second pass exited with status {code}"
+    try:
+        b = json.loads(data)
+    except ValueError as exc:
+        return False, f"second pass output does not decode: {exc}"
     if a == b:
-        passed, detail = True, "two independent passes render identically"
-    else:
-        where = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
-        passed, detail = False, f"passes differ first at line {where + 1}"
+        return True, "two independent passes render identically"
+    where = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+    return False, f"passes differ first at line {where + 1}"
+
+
+def run_all() -> list[CriterionResult]:
+    """All ten criteria.  Criteria 1-9 are reported from this process's
+    pass; the tenth compares it with a forked child's pass, each with a
+    new Context.  The child is always reaped before this returns."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _second_pass(read_fd, write_fd)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    try:
+        first = _pass_1_to_9()
+        data = pipe.read()
+    finally:
+        # closed before the wait, so a child blocked in write gets EPIPE
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    passed, detail = _compare(render_lines(first), data, status)
     first.append(CriterionResult(index=10, name=NAMES[10], passed=passed,
                                  detail=detail))
     return first

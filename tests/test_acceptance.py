@@ -6,6 +6,8 @@ failing criterion directly.
 """
 
 import math
+import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modkit.acceptance import NAMES, _brute_force, render_lines, run_all
+from modkit import acceptance
+from modkit.acceptance import (NAMES, _brute_force, _compare, render_lines,
+                               run_all)
 from modkit.catalog import gen_cyclic
 from modkit.invariant_enum import enumerate_invariants
 from modkit.modular_data import modular_data
@@ -49,6 +53,102 @@ def test_verify_all_cli_is_reproducible():
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def _fake_criteria(monkeypatch, index, criterion):
+    # criteria 1-9 become instant and constant, except `index`
+    fakes = {i: (lambda ctx, i=i: (True, f"fake {i}")) for i in range(1, 10)}
+    fakes[index] = criterion
+    monkeypatch.setattr(acceptance, "_CRITERIA", fakes)
+
+
+@pytest.fixture
+def deadline():
+    # a run_all that waits on its child for good fails instead of hanging
+    def hung(signum, frame):
+        raise AssertionError("run_all still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_reproducibility_catches_a_difference(monkeypatch, deadline):
+    # the pid differs between the two passes, so line 4 differs
+    _fake_criteria(monkeypatch, 4, lambda ctx: (True, f"pid {os.getpid()}"))
+    res = run_all()
+    assert res[3].detail == f"pid {os.getpid()}"
+    assert not res[9].passed
+    assert res[9].detail == "passes differ first at line 4"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("die, cause", [
+    (lambda: os._exit(3), "second pass exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "second pass killed by signal 9"),
+])
+def test_dead_second_pass_fails_criterion_10(monkeypatch, deadline, die,
+                                            cause):
+    me = os.getpid()
+
+    def criterion(ctx):
+        if os.getpid() != me:
+            die()
+        return True, "parent"
+
+    _fake_criteria(monkeypatch, 5, criterion)
+    res = run_all()
+    assert [r.index for r in res] == list(range(1, 11))
+    assert all(r.passed for r in res[:9])
+    assert res[4].detail == "parent"
+    assert not res[9].passed and res[9].detail == cause
+    _assert_no_child_left()
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_failed_first_pass_reaps_child_blocked_in_write(monkeypatch,
+                                                        deadline):
+    # the child's 1 MB output overflows the pipe; the parent never reads
+    me = os.getpid()
+
+    def criterion(ctx):
+        if os.getpid() != me:
+            return True, "x" * 2 ** 20
+        raise _Abort
+
+    _fake_criteria(monkeypatch, 2, criterion)
+    with pytest.raises(_Abort):
+        run_all()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("data, passed, detail", [
+    (b'["a", "b"]', True, "two independent passes render identically"),
+    (b'["a", "c"]', False, "passes differ first at line 2"),
+    (b'["a"]', False, "passes differ first at line 2"),
+    (b'["a", "b", "c"]', False, "passes differ first at line 3"),
+    (b'[]', False, "passes differ first at line 1"),
+])
+def test_compare_finds_first_difference(data, passed, detail):
+    # a shorter or longer second pass differs where the shorter one ends
+    assert _compare(["a", "b"], data, 0) == (passed, detail)
+
+
+def test_compare_undecodable_output():
+    passed, detail = _compare(["a"], b'["a"', 0)
+    assert not passed
+    assert detail.startswith("second pass output does not decode: ")
 
 
 def _as_sorted(mats):
