@@ -14,7 +14,7 @@ trees print the same JSON exactly when every output byte agrees:
     python3 scripts/machine_digests.py /path/to/other/checkout/src > old.json
     diff old.json new.json
 
-A run of its 146 commands takes about 40 s on a 2-vCPU VM; every
+A run of its 148 commands takes about 40 s on a 2-vCPU VM; every
 command runs with one BLAS thread.
 """
 
@@ -90,6 +90,8 @@ COMMANDS = [
     *_both("ising --m 4 --n 6 --beta 0.4"),
     *_both("ising --m 3 --n 2 --beta 1.0 --coupling -0.5"),
     "ising --m 5 --n 5 --beta 0.4 --format text",
+    "ising --m 1 --n 1 --beta 1e308 --format machine",
+    "ising --m 1 --n 1 --beta nan --format machine",
     *_both("verify-all"),
 ]
 

@@ -25,8 +25,7 @@ from .invariant_enum import (BudgetExceededError, EnumerationError,
                              type_I_factor)
 from .kostant import (CertificationError, KostantSeries,
                       McKayGraphError, find_rs, kostant_poly,
-                      kostant_suite, mckay_series, nimrep_match,
-                      verify_series)
+                      kostant_suite, mckay_series, nimrep_match)
 from .modular_data import (DegenerateNormalizationError,
                            DichotomyViolation, ModularData,
                            degenerate_sectors, modular_data,
@@ -49,7 +48,7 @@ __all__ = [
     "matrix_stats", "twist_factor", "twist_classes", "type_I_factor",
     "CertificationError", "KostantSeries",
     "McKayGraphError", "find_rs", "kostant_poly", "kostant_suite",
-    "mckay_series", "nimrep_match", "verify_series",
+    "mckay_series", "nimrep_match",
     "DegenerateNormalizationError", "DichotomyViolation", "ModularData",
     "degenerate_sectors", "modular_data", "verify_modular",
     "verlinde_check",

@@ -195,7 +195,7 @@ def _cmd_kostant(args) -> int:
     for g, coeffs in enumerate(suite.polys):
         star = " (extension vertex)" if g == series.graph.star else ""
         lines.append(f"p_{g}{star} = {format_poly(coeffs)}")
-    reports = [suite.series_report, suite.rs_report, suite.match_report]
+    reports = [suite.rs_report, suite.match_report]
     machine = {"graph": suite.name, "truncation": series.J,
                "series": series.n.tolist(), "rs": list(suite.rs),
                "polynomials": [{"vertex": g, "coeffs": coeffs}

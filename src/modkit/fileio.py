@@ -3,7 +3,8 @@
 Every file is a single JSON object with "format" and "version" keys.
 Serialisation goes through dumps_canonical (sorted keys, fixed indent,
 trailing newline, no timestamps) so identical data produces identical
-bytes.  Readers exist only for the formats a command reads back; the
+bytes; a non-finite float raises ValueError, so every output is JSON.
+Readers exist only for the formats a command reads back; the
 modular-data and graph files are exports.
 
 formats:
@@ -35,7 +36,7 @@ FORMAT_VERSION = 1
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write(path: str, obj: dict) -> None:

@@ -32,6 +32,7 @@ BOND_CONVENTION = (
     "torus trace is independent of that split.")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ising_partition(M: int, N: int, beta: float,
                     coupling: float = 1.0) -> tuple[float, float]:
     """Partition function of the Ising model on the M x N torus, twice.
@@ -39,7 +40,8 @@ def ising_partition(M: int, N: int, beta: float,
     Returns (Z_brute, Z_trace): the configuration sum over all 2^(M*N)
     spin assignments, and trace(T^N) for the 2^M x 2^M row-to-row
     transfer matrix.  Energy is -coupling * sum over bonds of s s'; see
-    BOND_CONVENTION for the exact bond multiset.
+    BOND_CONVENTION for the exact bond multiset.  Raises ValueError when
+    either evaluation is not finite (an overflowing or NaN beta * coupling).
     """
     if M < 1 or N < 1:
         raise ValueError("M and N must be >= 1")
@@ -83,4 +85,7 @@ def ising_partition(M: int, N: int, beta: float,
     else:
         T = weight[np.bitwise_count(r[:, None] ^ r)] * horiz
         z_trace = float(np.trace(np.linalg.matrix_power(T, N)))
+    if not (np.isfinite(z_brute) and np.isfinite(z_trace)):
+        raise ValueError(f"partition function is not finite: Z = {z_brute!r} "
+                         f"(configuration sum), {z_trace!r} (transfer trace)")
     return z_brute, z_trace

@@ -90,14 +90,16 @@ def build_nimrep_su2(graph: Graph, k: int) -> Nimrep:
 
 def verify_nimrep(nim: Nimrep, F: FusionSystem) -> Report:
     """Exact integer checks of the nimrep axioms plus the top-label
-    symmetry and the Perron-Frobenius cross-check (to 1e-9)."""
+    symmetry and the Perron-Frobenius cross-check (to 1e-9).
+
+    G_0 = 1 and non-negative entries are not re-checked: build_nimrep_su2
+    assigns G_0 = 1, G_1 is the graph's adjacency matrix, and every later
+    G_j with a negative entry raises NimrepBuildError("negative") first.
+    """
     G = nim.G
     k = nim.level
     nv = nim.n_vertices
     checks: list[Check] = []
-    checks.append(Check("unit", np.array_equal(G[0], np.eye(nv, dtype=np.int64)),
-                        "G_0 = 1"))
-    checks.append(Check("non-negative", all((g >= 0).all() for g in G)))
     sym = all(np.array_equal(G[lam], G[F.conj[lam]].T) for lam in range(k + 1))
     checks.append(Check("transpose-conjugate", sym,
                         "G_conj(l) = G_l^T"))

@@ -206,6 +206,13 @@ def test_dumps_canonical_is_deterministic():
     assert a.index('"a"') < a.index('"b"')
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dumps_canonical_rejects_non_finite(value):
+    # Infinity and NaN are not JSON
+    with pytest.raises(ValueError):
+        dumps_canonical({"z": value})
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.lists(st.integers(min_value=0, max_value=9),
                 min_size=1, max_size=16))
