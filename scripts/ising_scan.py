@@ -2,7 +2,9 @@
 """Scan the torus partition function over temperature.
 
 Compares the configuration sum with the transfer-matrix trace at each
-beta and prints the per-site free energy.
+beta and prints ln Z per site (-beta f, with f the free energy per site;
+ln 2 at beta = 0).  A partition function that is not finite, or a torus
+over the brute-force guard, prints `error: ...` on stderr and exits 1.
 
 Example:
     python3 scripts/ising_scan.py --m 4 --n 4
@@ -11,6 +13,7 @@ Example:
 
 import argparse
 import math
+import sys
 
 from modkit.ising import ising_partition
 
@@ -26,12 +29,15 @@ def main() -> None:
 
     sites = args.m * args.n
     print(f"torus {args.m} x {args.n}, J = {args.coupling}")
-    print(f"{'beta':>6} {'Z':>16} {'-f/site':>10} {'rel diff':>10}")
+    print(f"{'beta':>6} {'Z':>16} {'lnZ/site':>10} {'rel diff':>10}")
     for beta in args.betas:
-        zb, zt = ising_partition(args.m, args.n, beta, args.coupling)
+        try:
+            zb, zt = ising_partition(args.m, args.n, beta, args.coupling)
+        except ValueError as exc:
+            sys.exit(f"error: {exc}")
         rel = abs(zb - zt) / zb
-        f_site = math.log(zb) / (beta * sites)
-        print(f"{beta:>6.2f} {zb:>16.6e} {f_site:>10.5f} {rel:>10.2e}")
+        print(f"{beta:>6.2f} {zb:>16.6e} {math.log(zb) / sites:>10.5f} "
+              f"{rel:>10.2e}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """The ten release criteria as runnable checks.
 
-`run_all` executes every criterion and returns one result per line of
-`modkit verify-all`.  Criterion 10 (reproducibility) runs criteria 1-9
-twice and compares the rendered machine lines byte for byte.  The
-second pass runs in a child forked with `os.fork` (POSIX only), at the
-same time as the first, and sends its rendered lines back through a
-pipe.  A full run costs two passes of work, but with one BLAS thread
+`run_all` executes every criterion and returns one Check per line of
+`modkit verify-all`, in criterion order.  Criterion 10
+(reproducibility) runs criteria 1-9 twice and compares the rendered
+machine lines byte for byte.  The second pass runs in a child forked
+with `os.fork` (POSIX only), at the same time as the first, and sends
+its rendered lines back through a pipe.  A full run costs two passes of work, but with one BLAS thread
 per process it takes about one pass of wall time on two cores.  Each
 pass gets a new Context, so modular data and enumerations are
 recomputed in both; the child starts with the fusion systems `gen_su2`
@@ -23,7 +23,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +38,9 @@ from .ising import ising_partition
 from .kostant import kostant_suite
 from .modular_data import build_Y, modular_data, modular_relations
 from .nimrep import NimrepBuildError, build_nimrep_su2, spectrum_check
+from .reports import Check
 
-__all__ = ["CriterionResult", "run_all", "render_lines", "NAMES"]
+__all__ = ["run_all", "render_lines", "NAMES"]
 
 NAMES = {
     1: "modular-relations",
@@ -54,14 +54,6 @@ NAMES = {
     9: "transfer-matrix",
     10: "reproducibility",
 }
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
 
 
 class Context:
@@ -263,8 +255,6 @@ def _c5(ctx: Context):
     for name in ("A17", "D10", "E7", "E6", "E8", "A3", "D4"):
         h = graph_meta(name).coxeter
         for k in (h - 3, h - 2, h - 1):
-            if k < 1:
-                continue
             try:
                 build_nimrep_su2(ade_graph(name), k)
                 built = True
@@ -369,24 +359,23 @@ _CRITERIA = {1: _c1, 2: _c2, 3: _c3, 4: _c4, 5: _c5, 6: _c6, 7: _c7,
              8: _c8, 9: _c9}
 
 
-def _run_one(i: int, ctx: Context) -> CriterionResult:
+def _run_one(i: int, ctx: Context) -> Check:
     try:
-        passed, detail = _CRITERIA[i](ctx)
+        ok, detail = _CRITERIA[i](ctx)
     except Exception as exc:                      # noqa: BLE001
-        passed, detail = False, f"error: {exc}"
-    return CriterionResult(index=i, name=NAMES[i], passed=passed,
-                           detail=detail)
+        ok, detail = False, f"error: {exc}"
+    return Check(NAMES[i], ok, detail)
 
 
-def _pass_1_to_9() -> list[CriterionResult]:
+def _pass_1_to_9() -> list[Check]:
     ctx = Context()
     return [_run_one(i, ctx) for i in range(1, 10)]
 
 
 def render_lines(results) -> list[str]:
-    return [f"criterion {r.index:02d} "
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
-            for r in results]
+    """One line per criterion, numbered by its position from 1."""
+    return [f"criterion {i:02d} {'PASS' if r.ok else 'FAIL'} "
+            f"{r.name}: {r.detail}" for i, r in enumerate(results, 1)]
 
 
 def _second_pass(read_fd: int, write_fd: int) -> None:
@@ -421,7 +410,7 @@ def _compare(a: list[str], data: bytes, status: int) -> tuple[bool, str]:
     return False, f"passes differ first at line {where + 1}"
 
 
-def run_all() -> list[CriterionResult]:
+def run_all() -> list[Check]:
     """All ten criteria.  Criteria 1-9 are reported from this process's
     pass; the tenth compares it with a forked child's pass, each with a
     new Context.  The child is always reaped before this returns."""
@@ -438,7 +427,6 @@ def run_all() -> list[CriterionResult]:
         # closed before the wait, so a child blocked in write gets EPIPE
         pipe.close()
         status = os.waitpid(pid, 0)[1]
-    passed, detail = _compare(render_lines(first), data, status)
-    first.append(CriterionResult(index=10, name=NAMES[10], passed=passed,
-                                 detail=detail))
+    first.append(Check(NAMES[10], *_compare(render_lines(first), data,
+                                            status)))
     return first

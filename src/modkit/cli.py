@@ -41,8 +41,8 @@ def _report_obj(rep: Report) -> dict:
     return {
         "title": rep.title,
         "ok": rep.ok,
-        "checks": [{"name": c.name, "ok": c.ok, "skipped": c.skipped,
-                    "detail": c.detail} for c in rep.checks],
+        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
+                   for c in rep.checks],
     }
 
 
@@ -271,9 +271,9 @@ def _cmd_verify_all(args) -> int:
     for line in lines:
         print(line)
     if args.format == "text":
-        n_pass = sum(r.passed for r in results)
+        n_pass = sum(r.ok for r in results)
         print(f"{n_pass}/{len(results)} criteria passed")
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.ok for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,13 +9,13 @@ over the affine adjacency matrix A_hat.  Its generating functions
 f_g(q) = sum_j n_j^g q^j become polynomials after multiplication by
 (1 - q^r)(1 - q^s) for exactly one pair r <= s with r + s = h + 2
 (h the Coxeter number); `find_rs` locates that pair by certifying the
-truncated product, and `nimrep_match` compares the resulting
-polynomial coefficients with nimrep generator entries on the ordinary
-graph.  That comparison is the one report check here that can fail on
-a certified table; the identities the construction itself guarantees
-are proved in the docstrings of `mckay_series`, `find_rs` and
-`nimrep_match` instead of being re-checked.  For the A family the
-coefficient comparison is reported but not asserted.
+truncated product and asserts Kostant's r s = 2|G| against the order
+of the binary polyhedral group G, and `nimrep_match` compares the
+resulting polynomial coefficients with nimrep generator entries on the
+ordinary graph, on every ADE family.  Each report check is asserted;
+the identities the construction itself guarantees are proved in the
+docstrings of `mckay_series`, `find_rs` and `nimrep_match` instead of
+being re-checked.
 """
 
 from __future__ import annotations
@@ -162,9 +162,8 @@ def find_rs(series: KostantSeries, h: int, group_order: int
 
     Returns the first certifying pair, its kostant_poly table and a
     report.  The search raises CertificationError when no pair
-    certifies, and unique-pair lists every pair that does; the products
-    r*s vs the group order and vs twice the group order are reported
-    without being asserted either way.
+    certifies; unique-pair lists every pair that does, and
+    rs-vs-group-order asserts r*s = 2 group_order for the first.
     """
     successes: dict[tuple[int, int], np.ndarray] = {}
     for r in range(1, (h + 2) // 2 + 1):
@@ -178,59 +177,53 @@ def find_rs(series: KostantSeries, h: int, group_order: int
             f"no pair with r + s = {h + 2} certifies; "
             f"graph is not affine ADE at Coxeter number {h}")
     (r, s), P = next(iter(successes.items()))
-    checks = [
+    checks = (
         Check("unique-pair", len(successes) == 1,
               f"certifying pairs: {list(successes)}"),
-        Check("rs-vs-group-order", r * s == group_order,
-              f"r*s = {r * s}, |G| = {group_order}", skipped=True),
-        Check("rs-vs-double-group-order", r * s == 2 * group_order,
-              f"r*s = {r * s}, 2|G| = {2 * group_order}", skipped=True),
-    ]
+        Check("rs-vs-group-order", r * s == 2 * group_order,
+              f"r*s = {r * s}, 2|G| = {2 * group_order}"),
+    )
     return (r, s), P, Report(title=f"pair search ({series.graph.name}, "
-                                   f"h = {h})", checks=tuple(checks))
+                                   f"h = {h})", checks=checks)
 
 
 def nimrep_match(graph: Graph, r: int, s: int, P: np.ndarray) -> Report:
     """Kostant polynomial coefficients against nimrep generator entries.
 
     P is the certified table kostant_poly(series, r, s).  The nimrep is
-    built at level k = h - 2 with h = r + s - 2.  For each ordinary
-    vertex g the coefficient of q^(j+1) in p_g must equal
-    G_j[iota, g], iota = graph.iota, and every other coefficient of p_g
-    must vanish.  For the A family the comparison is reported as
-    skipped: the extension vertex has two neighbours there, which
-    doubles the expected entries.
+    built at level k = h - 2 with h = r + s - 2 (A1 has k = 0 and
+    G = (1,)).  Let a be the row of the extension vertex "*" in the
+    affine adjacency, restricted to the ordinary vertices: e_iota on
+    D and E, e_0 + e_(l-1) on A_l and 2 e_0 on A1.  For each ordinary
+    vertex g the coefficient of q^(j+1) in p_g must equal (a G_j)[g],
+    and every other coefficient of p_g must vanish.  The comparison
+    ties the two constructions together: P comes from the affine
+    series, the G_j from the ordinary adjacency alone.
 
     The three-term identity needs no check here.  The recursion gives
     q A_hat f = (1 + q^2) f - e_* as power series, so p = f (1 - q^r)
     (1 - q^s) satisfies q A_hat p = (1 + q^2) p - e_* (1 - q^r)(1 - q^s).
     kostant_poly certifies a zero tail of p on (h, J - r - s], and
     J - r - s >= 2h >= h + 2, so the table P obeys that identity through
-    degree h + 2.  On D and E graphs the only neighbour of "*" is iota,
-    with weight 1, so Omega = (1 + q^2) p_* - q p_iota equals
-    (1 - q^r)(1 - q^s) and the star row holds by that definition.
+    degree h + 2.  The star row reads (1 + q^2) p_* - q a . p = (1 -
+    q^r)(1 - q^s), which holds by that definition.
     """
     h = r + s - 2
     k = h - 2
     if graph.affine:
         raise ValueError("nimrep_match compares against the ordinary graph")
-    soft = graph.name.upper().startswith("A")
-    if k < 1:
-        checks = [Check("coefficients", True,
-                        f"level {k} < 1: no generators to compare",
-                        skipped=True)]
-    else:
-        nim = build_nimrep_su2(graph, k)
-        W = np.zeros((graph.n_vertices, h + 1), dtype=np.int64)
-        W[:, 1:k + 2] = np.array([G[graph.iota] for G in nim.G[:k + 1]]).T
-        checks = []
-        for g, want in enumerate(W):
-            ok = np.array_equal(P[g], want)
-            checks.append(Check(
-                f"coefficients[{g}]", ok or soft,
-                f"p_{g} = {format_poly(P[g])}"
-                + ("" if ok else f" vs nimrep row {format_poly(want)}"),
-                skipped=soft))
+    nim = build_nimrep_su2(graph, k)
+    affine = affine_ade(graph.name)
+    a = affine.adjacency[affine.star, :affine.star].astype(np.int64)
+    W = np.zeros((graph.n_vertices, h + 1), dtype=np.int64)
+    W[:, 1:k + 2] = np.array([a @ G for G in nim.G]).T
+    checks = []
+    for g, want in enumerate(W):
+        ok = np.array_equal(P[g], want)
+        checks.append(Check(
+            f"coefficients[{g}]", ok,
+            f"p_{g} = {format_poly(P[g])}"
+            + ("" if ok else f" vs nimrep row {format_poly(want)}")))
     return Report(title=f"nimrep match ({graph.name}, level {k})",
                   checks=tuple(checks))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification with a human-readable detail string.
+    """One named verdict with a human-readable detail string.
 
     ok is stored as a Python bool, so a numpy verdict serialises as JSON.
     """
@@ -15,14 +15,12 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
-    skipped: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ok", bool(self.ok))
 
     def line(self) -> str:
-        status = "SKIP" if self.skipped else ("ok" if self.ok else "FAIL")
-        out = f"[{status:>4}] {self.name}"
+        out = f"[{'ok' if self.ok else 'FAIL':>4}] {self.name}"
         if self.detail:
             out += f": {self.detail}"
         return out
@@ -37,7 +35,7 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok or c.skipped for c in self.checks)
+        return all(c.ok for c in self.checks)
 
     def __str__(self) -> str:
         return "\n".join([self.title] + ["  " + c.line() for c in self.checks])

@@ -31,18 +31,18 @@ N_CRITERIA = len(NAMES)
 @pytest.fixture(scope="module")
 def results():
     res = run_all()
-    lines = render_lines(res)
-    return ({r.index: r for r in res},
-            {r.index: line for r, line in zip(res, lines)})
+    return res, render_lines(res)
 
 
 @pytest.mark.parametrize("index", range(1, N_CRITERIA + 1))
 def test_criterion(results, index, capfd):
-    by_index, lines = results
+    res, lines = results
     with capfd.disabled():
-        print(lines[index], flush=True)
-    r = by_index[index]
-    assert r.passed, f"criterion {index:02d} {r.name}: {r.detail}"
+        print(lines[index - 1], flush=True)
+    r = res[index - 1]
+    assert r.name == NAMES[index]
+    assert lines[index - 1].startswith(f"criterion {index:02d} ")
+    assert r.ok, lines[index - 1]
 
 
 def test_verify_all_cli_is_reproducible():
@@ -85,7 +85,7 @@ def test_reproducibility_catches_a_difference(monkeypatch, deadline):
     _fake_criteria(monkeypatch, 4, lambda ctx: (True, f"pid {os.getpid()}"))
     res = run_all()
     assert res[3].detail == f"pid {os.getpid()}"
-    assert not res[9].passed
+    assert not res[9].ok
     assert res[9].detail == "passes differ first at line 4"
     _assert_no_child_left()
 
@@ -106,10 +106,10 @@ def test_dead_second_pass_fails_criterion_10(monkeypatch, deadline, die,
 
     _fake_criteria(monkeypatch, 5, criterion)
     res = run_all()
-    assert [r.index for r in res] == list(range(1, 11))
-    assert all(r.passed for r in res[:9])
+    assert [r.name for r in res] == [NAMES[i] for i in range(1, 11)]
+    assert all(r.ok for r in res[:9])
     assert res[4].detail == "parent"
-    assert not res[9].passed and res[9].detail == cause
+    assert not res[9].ok and res[9].detail == cause
     _assert_no_child_left()
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -165,15 +166,15 @@ def test_catalog_machine_golden_bytes(command):
 # that cannot fail (those restating how the data was built) were deleted.
 VERIFIER_MACHINE_SHA256 = {
     ("modular --level 16", None):
-        "b5d4d463caab9bb0c059cc9fcfc49e2c8185bc84e9f52ed64fc9830781510c22",
+        "50910c78fb5e9cb8245bb6196e66fffbdf62b56e9e8fc5e3d1397d47c96555d9",
     ("nimrep --graph E7 --level 16", None):
-        "3edc9c190a7a7769ecd43a72f22a558bb8bcc59dccdd30fe8b52a8e4b7c5e5ae",
+        "f13da4a5c441a056b4ac6231c95b2b241a3e651883d32755d68beb929dfa99ac",
     ("kostant --graph E8", None):
-        "51fb752ca75dd30a6ec044e99853e431a8ce874dc878d35d3e9d114ec87dbd12",
+        "d78252cbfea7b175ae33654cd3f489f1b9b4aa5c160e793fb5f74a7f4319c8e5",
     ("chiral --level 16 --invariant", "height-18"):
-        "077ddc94ab0dac8f1a8909e33cce895cf87ad6a6df9a5170cefbfbf840f03298",
+        "0b45b85d1379e59b4e188c74b42a1dfaf6fe4f4747b20233a74355fb26201d02",
     ("chiral --level 16 --invariant", "pair-blocks"):
-        "281bc0bb76a6b247806997f9a510b34ff6d347b75be5c9a5d923049792abf365",
+        "fee9bb3924b72a655bbd6f7b14774b1086a48f3a16ae519e899ba1f0e0137189",
     ("degenerate --level 16 --theta 0 --gamma "
      + ",".join(str(i) for i in range(17)), None):
         "078c44923f20b74b555c34bddb3ca170b0c37115088528e14b9628005a1e8cb6",
@@ -204,7 +205,9 @@ def test_check_verdict_is_python_bool():
     # numpy verdicts are stored as bool, so every report serialises
     check = Check("x", np.bool_(True))
     assert type(check.ok) is bool
-    json.dumps(_report_obj(Report("t", (check,))))
+    obj = _report_obj(Report("t", (check,)))
+    assert list(obj["checks"][0]) == ["name", "ok", "detail"]
+    json.dumps(obj)
 
 
 def test_nimrep_build_and_against(tmp_path):
@@ -320,10 +323,22 @@ def test_ising_pairs_bit_for_bit():
 
 def test_ising_scan_script_runs():
     script = Path(__file__).parents[1] / "scripts" / "ising_scan.py"
-    p = subprocess.run([sys.executable, str(script), "--m", "3", "--n", "3",
-                        "--betas", "0.4"], capture_output=True, text=True)
+
+    def scan(*args):
+        return subprocess.run([sys.executable, str(script), *args],
+                              capture_output=True, text=True)
+
+    p = scan("--m", "3", "--n", "3", "--betas", "0.4")
     assert p.returncode == 0, p.stderr
     assert "torus 3 x 3" in p.stdout
+    # ln Z per site is ln 2 at beta = 0
+    p = scan("--m", "2", "--n", "3", "--betas", "0")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines()[-1].split()[2] == f"{math.log(2):.5f}"
+    # an overflowing partition function is an error, not a traceback
+    p = scan("--m", "1", "--n", "1", "--betas", "1e308")
+    assert p.returncode == 1
+    assert p.stderr.startswith("error: ") and "Traceback" not in p.stderr
 
 
 def test_machine_digests_cover_every_subcommand():

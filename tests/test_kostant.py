@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modkit.catalog import ade_graph, affine_ade, graph_meta, mckay_marks
+from modkit.catalog import (ADE_NAMES, ade_graph, affine_ade, graph_meta,
+                            mckay_marks)
 from modkit.kostant import (
     CertificationError,
     McKayGraphError,
@@ -180,27 +181,33 @@ def test_find_rs_fails_off_coxeter():
         find_rs(series, h + 1, graph_meta("E6").group_order)
 
 
-def test_nimrep_match_hard_for_de():
-    for name in ("D4", "D8", "E6", "E7", "E8"):
-        suite = kostant_suite(name)
-        rep = suite.match_report
-        assert rep.ok, name
-        assert not any(c.skipped for c in rep.checks), name
+@pytest.mark.parametrize("name", ADE_NAMES)
+def test_every_suite_check_is_asserted_and_ok(name):
+    suite = kostant_suite(name)
+    nv = ade_graph(name).n_vertices
+    checks = suite.rs_report.checks + suite.match_report.checks
+    assert [c.name for c in checks] == (
+        ["unique-pair", "rs-vs-group-order"]
+        + [f"coefficients[{g}]" for g in range(nv)])
+    assert all(c.ok for c in checks), [c.line() for c in checks]
+    r, s = suite.rs
+    assert suite.rs_report.checks[1].detail == \
+        f"r*s = {r * s}, 2|G| = {2 * graph_meta(name).group_order}"
 
 
-def test_nimrep_match_soft_for_a():
-    suite = kostant_suite("A2")
-    rep = suite.match_report
-    assert rep.ok  # soft mismatches are recorded, never failed
-    assert [c.name for c in rep.checks] == ["coefficients[0]",
-                                            "coefficients[1]"]
-    assert all(c.skipped for c in rep.checks)
+def test_nimrep_match_on_a_graphs():
+    # the star of affine A_l has two neighbours, v0 and v(l-1), so p_g
+    # sums two nimrep rows; A1's star meets v0 by a double edge
+    assert [c.line() for c in kostant_suite("A1").match_report.checks] == [
+        "[  ok] coefficients[0]: p_0 = 2*q"]
+    assert [c.line() for c in kostant_suite("A2").match_report.checks] == [
+        "[  ok] coefficients[0]: p_0 = q + q^2",
+        "[  ok] coefficients[1]: p_1 = q + q^2"]
 
 
-@pytest.mark.parametrize("name", ("E6", "A2"))
+@pytest.mark.parametrize("name", ("A1", "A2", "D4", "E6"))
 def test_nimrep_match_detects_wrong_coefficient(name):
     # one coefficient off by 1 at an ordinary vertex fails the comparison
-    # on E6; on A2 the comparison is skipped, so the report still holds
     suite = kostant_suite(name)
     P = suite.polys.copy()
     assert suite.series.graph.star != 0
@@ -208,13 +215,9 @@ def test_nimrep_match_detects_wrong_coefficient(name):
     rep = nimrep_match(ade_graph(name), *suite.rs, P)
     check = rep.checks[0]
     assert check.name == "coefficients[0]"
-    if name == "A2":
-        assert check.skipped and check.line().startswith("[SKIP]")
-        assert rep.ok
-    else:
-        assert not check.ok and check.line().startswith("[FAIL]")
-        assert "vs nimrep row" in check.detail
-        assert not rep.ok
+    assert not check.ok and check.line().startswith("[FAIL]")
+    assert "vs nimrep row" in check.detail
+    assert not rep.ok
 
 
 def test_match_coefficients_equal_nimrep_rows():

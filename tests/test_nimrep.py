@@ -58,6 +58,18 @@ def test_affine_graph_rejected():
         build_nimrep_su2(affine_ade("E7"), 16)
 
 
+def test_level_zero_builds_only_a1():
+    # G_{-1} = 0, so the level-0 closure is A = 0: only A1 (h = 2) builds
+    nim = build_nimrep_su2(ade_graph("A1"), 0)
+    assert len(nim.G) == 1 and np.array_equal(nim.G[0], [[1]])
+    for name in ("A2", "D4"):
+        with pytest.raises(NimrepBuildError) as exc:
+            build_nimrep_su2(ade_graph(name), 0)
+        assert exc.value.kind == "closure" and exc.value.step == 1, name
+    with pytest.raises(ValueError):
+        build_nimrep_su2(ade_graph("A1"), -1)
+
+
 def test_verify_report(su2):
     for name, k in (("A7", 6), ("D10", 16), ("E8", 28)):
         nim = build_nimrep_su2(ade_graph(name), k)
@@ -116,6 +128,13 @@ def test_spectrum_mismatch_detected(md):
     Z = coupling_forms(16)["height-18"]
     rep = spectrum_check(nim, Z, md(16))
     assert not rep.ok  # tr Z = 7 but the graph has 10 vertices
+
+
+def test_spectrum_check_names_one_line_per_generator(md):
+    nim = build_nimrep_su2(ade_graph("E6"), 10)
+    rep = spectrum_check(nim, coupling_forms(10)["height-12"], md(10))
+    assert [c.name for c in rep.checks] == (
+        ["sector-count"] + [f"spectrum[{lam}]" for lam in range(11)])
 
 
 def test_eigenvalues_are_exponent_ratios(md):
