@@ -250,7 +250,7 @@ def _c5(ctx: Context):
         if not any(np.array_equal(Z, W) for W in ctx.enum(k).invariants):
             enumerated = False
         nim = build_nimrep_su2(ade_graph(name), k)
-        spectra_ok &= spectrum_check(nim, Z, ctx.md(k), tol=1e-7).ok
+        spectra_ok &= spectrum_check(nim, Z, ctx.md(k)).ok
     only_h = True
     for name in ("A17", "D10", "E7", "E6", "E8", "A3", "D4"):
         h = graph_meta(name).coxeter

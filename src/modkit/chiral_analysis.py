@@ -32,8 +32,8 @@ import numpy as np
 
 from .fusion_core import FusionSystem, check_fusion_size, make_fusion_system
 from .invariant_enum import on_free_cells
-from .modular_data import (ModularData, build_Y, degenerate_sectors,
-                           twist_phases)
+from .modular_data import (DEGENERATE_TOL, ModularData, build_Y,
+                           degenerate_sectors, twist_phases)
 from .reports import Check, Report
 
 __all__ = [
@@ -82,19 +82,20 @@ def global_indices(Z: np.ndarray, d: np.ndarray) -> GlobalIndices:
                          w_zero=w_plus * w_minus / w_alpha)
 
 
-def coupling_reports(F: FusionSystem, Z: np.ndarray,
-                     tol: float = 1e-6) -> tuple[Report, Report, Report]:
+def coupling_reports(F: FusionSystem,
+                     Z: np.ndarray) -> tuple[Report, Report, Report]:
     """Commutant residuals, chiral norms and induced-system counting.
 
     Z must have Z[0, 0] = 1 and lie on the free cells (ValueError
     otherwise), so Omega Z = Z Omega needs no check: each non-zero Z[l, m]
     has t_l = t_m, so omega_l and omega_m are the same float and the
     residual is exactly 0.  With deg-sum = sum d_l Z[l, 0] over the
-    degenerate l (at tol): Y Z = Z Y to 1e-8, deg-sum <= d^T Z d / w =
+    degenerate l: Y Z = Z Y to 1e-8, deg-sum <= d^T Z d / w =
     w / w_alpha; A = sum Y[0,l] Y[l,m] Z[m,0] and B likewise with
     Z[0,m] equal w * deg-sum, and C = sum d_l (omega_l^-1 omega_m) Z[l,m]
-    d_m equals d^T Z d; full induction gives w_Delta = w^4 / (d^T Z d)^2
-    = w^2 to a relative 1e-8, i.e. d^T Z d = w.
+    d_m equals d^T Z d, each to DEGENERATE_TOL max(1, |target|); full
+    induction gives w_Delta = w^4 / (d^T Z d)^2 = w^2 to a relative
+    1e-8, i.e. d^T Z d = w.
     """
     Z = _vacuum_normalized(Z)
     if not on_free_cells(F, Z):
@@ -102,13 +103,13 @@ def coupling_reports(F: FusionSystem, Z: np.ndarray,
     Z = Z.astype(float)
     Y = build_Y(F)
     omega = twist_phases(F)
-    deg = degenerate_sectors(F, tol=tol, Y=Y)
+    deg = degenerate_sectors(F, Y=Y)
     d, w = F.d, F.w
     dZd = float(d @ Z @ d)
     deg_sum = float(sum(d[lam] * Z[lam, 0] for lam in deg))
 
     def near(x: complex, want: float) -> bool:
-        return abs(x - want) <= tol * max(1.0, abs(want))
+        return abs(x - want) <= DEGENERATE_TOL * max(1.0, abs(want))
 
     res_y = float(np.max(np.abs(Y @ Z - Z @ Y)))
     commutant = Report(title=f"commutant residuals (n={F.n})", checks=(
@@ -137,8 +138,7 @@ def coupling_reports(F: FusionSystem, Z: np.ndarray,
     return commutant, norms, counting
 
 
-def degenerate_invariant(F: FusionSystem, gamma, theta,
-                         tol: float = 1e-6) -> np.ndarray:
+def degenerate_invariant(F: FusionSystem, gamma, theta) -> np.ndarray:
     """Coupling matrix of the subsystem spanned by Gamma.
 
     Builds Z[lam, mu] = sum_theta N[lam, theta, mu] * d_theta on Gamma x
@@ -165,7 +165,7 @@ def degenerate_invariant(F: FusionSystem, gamma, theta,
             if not set(hit.tolist()) <= gset:
                 raise ValueError(f"Gamma not closed under fusion at ({a}, {b})")
     Y = build_Y(F)
-    deg = degenerate_sectors(F, tol=tol, Y=Y)
+    deg = degenerate_sectors(F, Y=Y)
     if theta != sorted(set(deg) & gset):
         raise ValueError("Theta must be the degenerate sectors inside Gamma; "
                          f"expected {sorted(set(deg) & gset)}, got {theta}")
@@ -188,23 +188,24 @@ def degenerate_invariant(F: FusionSystem, gamma, theta,
             Z[lam, mu] = sum(int(F.N[lam, th, mu]) * d_int[th]
                              for th in theta)
 
+    bound = DEGENERATE_TOL * max(1.0, F.w)
     vac_pair = np.conj(Y[:, gamma]) @ Y[0, gamma]
     for lam in range(n):
-        if lam not in gset and abs(vac_pair[lam]) > tol * max(1.0, F.w):
+        if lam not in gset and abs(vac_pair[lam]) > bound:
             raise YClosureError(
                 f"Gamma not Y-closed: row {lam} pairs with the vacuum column "
                 f"to {vac_pair[lam]:.6g}")
     if not on_free_cells(F, Z):
         raise RuntimeError("constructed matrix fails exact Omega-commutation")
     res_y = float(np.max(np.abs(Y @ Z - Z.astype(float) @ Y)))
-    if res_y > tol * max(1.0, F.w):
+    if res_y > bound:
         raise RuntimeError(f"constructed matrix fails Y-commutation "
                            f"(residual {res_y:.3e})")
     w_gamma = float(sum(F.d[g] ** 2 for g in gamma))
     Yg = Y[np.ix_(gamma, gamma)]
     cross = np.conj(Yg) @ Yg.T / w_gamma  # cross[i, j] = Z on Gamma x Gamma
     sub = Z[np.ix_(gamma, gamma)]
-    if np.max(np.abs(cross - sub)) > tol * max(1.0, w_gamma):
+    if np.max(np.abs(cross - sub)) > DEGENERATE_TOL * max(1.0, w_gamma):
         raise RuntimeError("integer formula disagrees with the Y pairing "
                            "cross-check on Gamma x Gamma")
     Z.setflags(write=False)

@@ -24,12 +24,13 @@ from .fileio import (catalog_dict, dumps_canonical, graph_dict,
                      load_coupling_matrix, load_fusion_system,
                      load_invariant_catalog, modular_data_dict, save_graph,
                      save_invariant_catalog, save_modular_data)
-from .invariant_enum import (build_records, enumerate_invariants,
+from .invariant_enum import (FLOAT_TOL, build_records, enumerate_invariants,
                              matrix_record)
 # ising_partition is re-exported: perfbench imports it from this module
 from .ising import BOND_CONVENTION, ising_partition
 from .kostant import format_poly, kostant_suite
-from .modular_data import modular_data, verify_modular, verlinde_check
+from .modular_data import (DEGENERATE_TOL, modular_data, verify_modular,
+                           verlinde_check)
 from .nimrep import NimrepBuildError, build_nimrep_su2, spectrum_check, \
     verify_nimrep
 from .reports import Report
@@ -83,7 +84,8 @@ class SystemExit2(Exception):
 
 def _cmd_catalog(args) -> int:
     if args.graph is not None:
-        g = affine_or_ordinary(args.graph, args.affine)
+        name = args.graph
+        g = affine_ade(name[:-1]) if name.endswith("^") else ade_graph(name)
         obj = graph_dict(g)
         if args.out:
             save_graph(g, args.out)
@@ -94,22 +96,16 @@ def _cmd_catalog(args) -> int:
     lines += [f"  {s}" for s in cat["systems"]]
     lines.append("ordinary graphs:")
     lines.append("  " + " ".join(cat["ordinary_graphs"]))
-    lines.append("affine graphs (append ^ or pass --affine):")
+    lines.append("affine graphs (append ^):")
     lines.append("  " + " ".join(cat["affine_graphs"]))
     _emit(args, lines, cat)
     return 0
 
 
-def affine_or_ordinary(name: str, affine: bool):
-    if name.endswith("^"):
-        name, affine = name[:-1], True
-    return affine_ade(name) if affine else ade_graph(name)
-
-
 def _cmd_modular(args) -> int:
     F, _ = _resolve_system(args)
     md = modular_data(F)
-    reports = [verify_modular(md, tol=args.tolerance), verlinde_check(md)]
+    reports = [verify_modular(md), verlinde_check(md)]
     if args.out:
         save_modular_data(md, args.out)
     return _finish(args, [], modular_data_dict(md), reports)
@@ -118,12 +114,12 @@ def _cmd_modular(args) -> int:
 def _cmd_enum(args) -> int:
     F, sys_id = _resolve_system(args)
     md = modular_data(F)
-    result = enumerate_invariants(md, budget=args.budget, tol=args.tolerance)
+    result = enumerate_invariants(md, budget=args.budget)
     records = build_records(result)
     header = {
         "system": sys_id,
         "level": args.level,
-        "tolerance": args.tolerance,
+        "tolerance": FLOAT_TOL,
         "budget": args.budget,
         "tool_version": __version__,
         "commutant_dimension": result.commutant_dim,
@@ -174,8 +170,7 @@ def _cmd_nimrep(args) -> int:
                   f"{g.n_vertices}", file=sys.stderr)
             return 1
         md = modular_data(F)
-        reports.append(spectrum_check(nim, match[0], md,
-                                      tol=args.tolerance))
+        reports.append(spectrum_check(nim, match[0], md))
     machine = {"graph": args.graph, "level": args.level,
                "generators": [G.tolist() for G in nim.G]}
     return _finish(args, lines, machine, reports)
@@ -208,7 +203,7 @@ def _cmd_chiral(args) -> int:
     F, sys_id = _resolve_system(args)
     Z = load_coupling_matrix(args.invariant, n=F.n)
     indices = asdict(global_indices(Z, F.d))
-    reports = coupling_reports(F, Z, tol=args.tolerance)
+    reports = coupling_reports(F, Z)
     lines = [f"global indices for {sys_id}:"]
     lines += [f"  {name:<7} = {value!r}" for name, value in indices.items()]
     return _finish(args, lines, {"system": sys_id, "global_indices": indices},
@@ -232,11 +227,11 @@ def _cmd_degenerate(args) -> int:
     F, sys_id = _resolve_system(args)
     gamma = _parse_labels(F, args.gamma)
     theta = _parse_labels(F, args.theta)
-    Z = degenerate_invariant(F, gamma, theta, tol=args.tolerance)
+    Z = degenerate_invariant(F, gamma, theta)
     header = {"system": sys_id,
               "gamma": [F.labels[i] for i in gamma],
               "theta": [F.labels[i] for i in theta],
-              "tolerance": args.tolerance,
+              "tolerance": DEGENERATE_TOL,
               "tool_version": __version__,
               "count": 1}
     obj = catalog_dict(header, [matrix_record(Z)])
@@ -293,10 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("catalog", _cmd_catalog, help="list built-in systems and graphs")
-    p.add_argument("action", nargs="?", choices=("list",), default="list")
-    p.add_argument("--graph", help="export one graph instead of listing")
-    p.add_argument("--affine", action="store_true",
-                   help="with --graph: the affine extension")
+    p.add_argument("--graph", help="export one graph instead of listing; "
+                                   "append ^ for the affine graph")
     p.add_argument("--out", help="write the graph file here")
 
     p = add("modular", _cmd_modular,
@@ -304,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="su2",
                    help="'su2' (with --level) or a fusion-system file")
     p.add_argument("--level", type=int)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--out", help="write the modular-data file here")
 
     p = add("enum", _cmd_enum, help="enumerate all coupling matrices")
     p.add_argument("--system", default="su2")
     p.add_argument("--level", type=int)
     p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--out", help="write the invariant-catalog file here")
 
     p = add("nimrep", _cmd_nimrep,
@@ -321,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against",
                    help="invariant-catalog file; the record whose trace "
                         "equals the vertex count is checked spectrally")
-    p.add_argument("--tolerance", type=float, default=1e-7)
 
     p = add("kostant", _cmd_kostant,
             help="restriction series, (r, s) pair, and polynomials")
@@ -334,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--invariant", required=True,
                    help="coupling-matrix file")
-    p.add_argument("--tolerance", type=float, default=1e-6)
 
     p = add("degenerate", _cmd_degenerate,
             help="coupling matrix from a degenerate subsystem")
@@ -344,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated closed label set")
     p.add_argument("--theta", required=True,
                    help="comma-separated bosonic degenerate labels")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--out", help="write a one-record catalog file here")
 
     p = add("ising", _cmd_ising,

@@ -23,8 +23,8 @@ Pipeline:
    pruning, the entry bounds, integrality of settled cells, and the
    identity d^T Z d = w, which follows from S Z S = Z C and
    Z[0, 0] = 1;
-5. verify every accepted matrix against S in float and again, to
-   MP_TOL, against the 40-digit fixed-point S (modular_data_mp and
+5. verify every accepted matrix against S in float to FLOAT_TOL, then
+   to MP_TOL against the 40-digit fixed-point S (modular_data_mp and
    mp_residual); a matrix that fails either check raises EnumerationError.
 
 The search is exhaustive within the entry bounds, so the result is a
@@ -67,6 +67,7 @@ GAP_KEEP = 1e-4      # singular values above GAP_KEEP * smax are rank
 PIVOT_MIN = 0.05     # least norm of a pivot row of V off the earlier pivots
 SNAP_TOL = 1e-8      # float-to-rational snap acceptance
 SNAP_DEN = 1000      # largest denominator of a snapped basis entry, and of D
+FLOAT_TOL = 1e-9     # residual bound of the float recheck
 MP_TOL = 1e-25       # residual bound of the 40-digit recheck (mp_residual)
 # One copy of the commutant equations may take this much; the basis holds
 # two (its own and the QR's).  su(2)_10 x su(2)_10 needs 183 MiB per copy,
@@ -223,12 +224,12 @@ def commutant_basis(md: ModularData):
                            f"puts D C within {SNAP_TOL:g} of integers")
 
 
-def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
-                         tol: float = 1e-9) -> EnumerationResult:
+def enumerate_invariants(md: ModularData,
+                         budget: int = 10 ** 6) -> EnumerationResult:
     """Complete list of coupling matrices for md, canonically sorted.
 
     The search runs on X = D Z[cells] in exact integer arithmetic.  Each
-    solution must commute with S to within tol in float arithmetic and
+    solution must commute with S to FLOAT_TOL in float arithmetic and
     to MP_TOL at 40 digits; a solution that fails either check
     raises EnumerationError."""
     F = md.system
@@ -280,10 +281,10 @@ def enumerate_invariants(md: ModularData, budget: int = 10 ** 6,
     S_mp = modular_data_mp(F)
     for Z in accepted:
         residual = float(np.max(np.abs(S @ Z - Z @ S)))
-        if residual > tol:
+        if residual > FLOAT_TOL:
             raise EnumerationError(
                 f"solution fails float commutant check: residual "
-                f"{residual:.3e} exceeds tolerance {tol:.3e}")
+                f"{residual:.3e} exceeds tolerance {FLOAT_TOL:.3e}")
         if mp_residual(S_mp, Z) > MP_TOL:
             raise EnumerationError("solution fails high precision recheck; "
                                    "pipeline inconsistency")

@@ -33,6 +33,8 @@ __all__ = ["McKayGraphError", "CertificationError", "KostantSeries",
            "mckay_series", "kostant_poly", "find_rs",
            "nimrep_match", "KostantSuite", "kostant_suite", "format_poly"]
 
+_TAIL_ROWS = 4096       # tail degrees certified at once (no series copy)
+
 
 class McKayGraphError(ValueError):
     """The recursion certifies the input is not a McKay graph."""
@@ -131,21 +133,28 @@ def kostant_poly(series: KostantSeries, r: int, s: int) -> np.ndarray:
     if series.J < 2 * h + r + s:
         raise ValueError(f"truncation {series.J} < 2h + r + s = "
                          f"{2 * h + r + s}; not enough terms to certify")
-    p = _product_coeffs(series.n, r, s)
-    tail = p[h + 1:series.J - r - s + 1] != 0
-    head = p[:h + 1]
-    bad = tail.any(axis=0) | (head < 0).any(axis=0)
+    f = series.n
+    head = _product_coeffs(f[:h + 1], r, s)
+    first = np.zeros(f.shape[1], dtype=np.int64)  # first non-zero, 0: none
+    end = series.J - r - s + 1
+    for a in range(h + 1, end, _TAIL_ROWS):
+        lo = max(0, a - r - s)            # degrees from a on are exact
+        block = _product_coeffs(f[lo:min(a + _TAIL_ROWS, end)], r, s)[a - lo:]
+        new = (first == 0) & block.any(axis=0)
+        first[new] = a + np.argmax(block[:, new] != 0, axis=0)
+    bad = (first > 0) | (head < 0).any(axis=0)
     if bad.any():
         g = int(np.argmax(bad))
-        if tail[:, g].any():
-            i = h + 1 + int(np.argmax(tail[:, g]))
+        if first[g]:
+            i = int(first[g])
+            c = _product_coeffs(f[max(0, i - r - s):i + 1, g], r, s)[-1]
             raise CertificationError(
                 f"(r, s) = ({r}, {s}): vertex {g} has residual "
-                f"coefficient {int(p[i, g])} at degree {i} > h = {h}")
+                f"coefficient {int(c)} at degree {i} > h = {h}")
         i = int(np.argmax(head[:, g] < 0))
         raise CertificationError(
             f"(r, s) = ({r}, {s}): vertex {g} has negative "
-            f"coefficient {int(p[i, g])} at degree {i}")
+            f"coefficient {int(head[i, g])} at degree {i}")
     P = head.T.copy()
     star = P[series.graph.star]
     if star.tolist() != [int(i in (0, h)) for i in range(h + 1)]:

@@ -52,6 +52,8 @@ __all__ = [
     "mp_residual",
 ]
 
+MODULAR_TOL = 1e-9   # bound of every verify_modular check
+DEGENERATE_TOL = 1e-6  # degenerate sectors, chiral norms and Y closure
 MP_DPS = 40          # digits of the high precision S
 # fraction bits of the fixed-point S: MP_DPS digits of mantissa plus 56
 # bits, so entries down to 2^-56 are read exactly
@@ -175,8 +177,8 @@ def modular_relations(md: ModularData):
     return unitary, st, C, float(np.max(np.abs(C_raw - C)))
 
 
-def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
-    """Check that (S, T) represent the modular relations."""
+def verify_modular(md: ModularData) -> Report:
+    """Check that (S, T) represent the modular relations to MODULAR_TOL."""
     F = md.system
     S, T = md.S, md.T
     n = F.n
@@ -184,7 +186,7 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
 
     def add(name: str, dev: float, extra: str = "") -> None:
         detail = f"max dev {dev:.3e}" + (f"; {extra}" if extra else "")
-        checks.append(Check(name, dev <= tol, detail))
+        checks.append(Check(name, dev <= MODULAR_TOL, detail))
 
     Idn = np.eye(n)
     unitary, st, C, dev_c = modular_relations(md)
@@ -193,8 +195,8 @@ def verify_modular(md: ModularData, tol: float = 1e-9) -> Report:
     add("s-symmetric", float(np.max(np.abs(S - S.T))))
     add("st-relation", st, "T S T S T = S")
     perm = is_permutation_matrix(C)
-    checks.append(Check("conjugation-permutation", perm and dev_c <= tol,
-                        f"max dev {dev_c:.3e}"))
+    checks.append(Check("conjugation-permutation",
+                        perm and dev_c <= MODULAR_TOL, f"max dev {dev_c:.3e}"))
     if perm:
         add("conjugation-involution", float(np.max(np.abs(C @ C - Idn))))
         match = np.array_equal(np.nonzero(C)[1], np.array(F.conj))
@@ -220,25 +222,25 @@ def verlinde_check(md: ModularData) -> Report:
     return Report(title=f"verlinde reconstruction (n={md.n})", checks=(check,))
 
 
-def degenerate_sectors(F: FusionSystem, tol: float = 1e-6, *,
+def degenerate_sectors(F: FusionSystem, *,
                        Y: np.ndarray | None = None) -> list[int]:
     """Labels l with sum_m Y[l, m] d_m = w d_l.
 
-    Every row sum must land within tol of either w d_l (degenerate) or 0
-    (non-degenerate); anything in between raises DichotomyViolation.  On
-    a modular system only the vacuum is degenerate; a fully degenerate
-    system returns every label.  Y is build_Y(F), built here unless the
-    caller has it.
+    Every row sum must land within DEGENERATE_TOL max(1, w) of either
+    w d_l (degenerate) or 0 (non-degenerate); anything in between raises
+    DichotomyViolation.  On a modular system only the vacuum is
+    degenerate; a fully degenerate system returns every label.  Y is
+    build_Y(F), built here unless the caller has it.
     """
     if Y is None:
         Y = build_Y(F)
     R = Y @ F.d                           # Y[m, 0] = d_m
-    scale = max(1.0, F.w)
+    bound = DEGENERATE_TOL * max(1.0, F.w)
     out = []
     for lam in range(F.n):
-        if abs(R[lam] - F.w * F.d[lam]) < tol * scale:
+        if abs(R[lam] - F.w * F.d[lam]) < bound:
             out.append(lam)
-        elif abs(R[lam]) >= tol * scale:
+        elif abs(R[lam]) >= bound:
             raise DichotomyViolation(lam, complex(R[lam]), F.w)
     return out
 

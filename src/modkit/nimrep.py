@@ -34,6 +34,8 @@ from .reports import Check, Report
 __all__ = ["NimrepBuildError", "Nimrep", "build_nimrep_su2", "verify_nimrep",
            "spectrum_check"]
 
+SPECTRUM_TOL = 1e-7   # bound of every spectrum[l] eigenvalue deviation
+
 
 class NimrepBuildError(RuntimeError):
     """The recursion left the non-negative cone or failed to close."""
@@ -125,32 +127,28 @@ def verify_nimrep(nim: Nimrep, F: FusionSystem) -> Report:
                   checks=tuple(checks))
 
 
-def spectrum_check(nim: Nimrep, Z: np.ndarray, md: ModularData,
-                   tol: float = 1e-7) -> Report:
+def spectrum_check(nim: Nimrep, Z: np.ndarray, md: ModularData) -> Report:
     """Eigenvalues of every G_l against the coupling-matrix diagonal.
 
     The expected multiset for G_l is S[l, m]/S[0, m] with multiplicity
     Z[m, m]; both sides are real (symmetric matrices, real ratios), so
-    sorted greedy pairing decides equality.
+    sorted greedy pairing decides equality, to SPECTRUM_TOL.
     """
     Z = np.asarray(Z)
-    k = nim.level
     nv = nim.n_vertices
     trace = int(np.trace(Z))
+    title = f"nimrep spectrum ({nim.graph.name} vs coupling diagonal)"
     if trace != nv:
-        return Report(
-            title=f"nimrep spectrum ({nim.graph.name} vs coupling diagonal)",
-            checks=(Check("sector-count", False,
-                          f"tr Z = {trace} but graph has {nv} vertices"),))
+        return Report(title, (Check("sector-count", False, f"tr Z = {trace} "
+                                    f"but graph has {nv} vertices"),))
     S = md.S
     ratios = (S / S[0]).real              # imaginary parts vanish for su2
     mult = np.diag(Z)
     checks: list[Check] = [Check("sector-count", True, f"tr Z = {trace} = |V|")]
-    for lam in range(k + 1):
+    for lam in range(nim.level + 1):
         got = np.sort(np.linalg.eigvalsh(nim.G[lam].astype(float)))
         want = np.sort(np.repeat(ratios[lam], mult))
         dev = float(np.max(np.abs(got - want)))
-        checks.append(Check(f"spectrum[{lam}]", dev <= tol,
+        checks.append(Check(f"spectrum[{lam}]", dev <= SPECTRUM_TOL,
                             f"max eigenvalue deviation {dev:.3e}"))
-    return Report(title=f"nimrep spectrum ({nim.graph.name} vs coupling "
-                        f"diagonal)", checks=tuple(checks))
+    return Report(title, tuple(checks))

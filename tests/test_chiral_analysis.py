@@ -124,15 +124,13 @@ def test_chiral_builds_y_and_degenerate_sectors_once(tmp_path, monkeypatch):
 
 
 def test_degenerate_sectors_read_at_tolerance(su2):
-    # a tolerance wider than every row sum makes each label degenerate,
-    # so label 4 joins the commutant report's sum d_0 Z[0, 0] + d_4 Z[4, 0]
+    # at DEGENERATE_TOL only the vacuum of su(2)_4 is degenerate, so the
+    # commutant report's sum is d_0 Z[0, 0] alone, not + d_4 Z[4, 0]
     F = su2(4)
     Z = coupling_forms(4)["pair-blocks"]
-    for tol, deg_sum in ((1e-6, "1.000000"), (10.0, "2.000000")):
-        commutant = coupling_reports(F, Z, tol=tol)[0]
-        bound = next(c for c in commutant.checks
-                     if c.name == "degenerate-bound")
-        assert bound.detail.startswith(f"deg-sum = {deg_sum}")
+    commutant = coupling_reports(F, Z)[0]
+    bound = next(c for c in commutant.checks if c.name == "degenerate-bound")
+    assert bound.detail.startswith("deg-sum = 1.000000")
 
 
 def test_degenerate_sectors():

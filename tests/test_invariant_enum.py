@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -278,6 +280,20 @@ def _moved(S_fixed, by):
     S_bad = S_fixed.copy()
     S_bad[0, 0, 16] += round(by * 2 ** FIXED_BITS)
     return S_bad
+
+
+def test_float_recheck_rejects_residual_over_its_bound():
+    # S[1, 2] and S[2, 1] of su(2)_16 raised by 3e-9: the basis and the
+    # search still run, and the float recheck rejects a solution (an
+    # error of 3e-8 trips the singular-value gap first)
+    md = modular_data(gen_su2(16))
+    S = md.S.copy()
+    S[1, 2] += 3e-9
+    S[2, 1] += 3e-9
+    want = ("solution fails float commutant check: residual 3.000e-09 "
+            "exceeds tolerance 1.000e-09")
+    with pytest.raises(EnumerationError, match=re.escape(want)):
+        enumerate_invariants(dataclasses.replace(md, S=S))
 
 
 def test_mp_recheck_rejects_float_sized_error(monkeypatch):

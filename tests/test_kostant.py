@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modkit.kostant as kostant
 from modkit.catalog import (ADE_NAMES, ade_graph, affine_ade, graph_meta,
                             mckay_marks)
 from modkit.kostant import (
@@ -267,10 +269,7 @@ FIRST_OFFENDER_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_first_offender_messages(name):
-    # each message names the first failing vertex and degree; 701 in all,
-    # with both the residual-tail and the negative-coefficient kinds
+def _first_offender_digest(name: str) -> str:
     h = graph_meta(name).coxeter
     series = mckay_series(affine_ade(name), 3 * h + 4)
     messages = []
@@ -280,14 +279,42 @@ def test_first_offender_messages(name):
                 kostant_poly(series, r, s)
             except CertificationError as exc:
                 messages.append(str(exc))
-    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
-    assert digest == FIRST_OFFENDER_SHA256[name]
+    return hashlib.sha256("\n".join(messages).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_first_offender_messages(name):
+    # each message names the first failing vertex and degree; 701 in all,
+    # with both the residual-tail and the negative-coefficient kinds
+    assert _first_offender_digest(name) == FIRST_OFFENDER_SHA256[name]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_first_offender_messages_in_small_blocks(monkeypatch, rows):
+    # the tail is read in blocks of _TAIL_ROWS degrees; blocks that split
+    # the window anywhere give the messages of a single block
+    monkeypatch.setattr(kostant, "_TAIL_ROWS", rows)
+    for name in ("A5", "D7", "E8"):
+        assert _first_offender_digest(name) == FIRST_OFFENDER_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["E8", "D16"])
+def test_suite_memory_under_one_and_a_half_tables(name):
+    # no candidate pair copies the (J + 1, nv) series: the tracemalloc
+    # peak of the whole suite stays within 1.5 times the table
+    tracemalloc.start()
+    try:
+        suite = kostant_suite(name, J=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite.ok
+    assert peak <= 1.5 * suite.series.n.nbytes
 
 
 def test_suite_certifies_each_pair_once(monkeypatch):
     # find_rs certifies every pair with r + s = h + 2; nothing after it
     # certifies the winning pair again
-    import modkit.kostant as kostant
     calls = []
     inner = kostant.kostant_poly
 
