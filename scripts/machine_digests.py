@@ -14,7 +14,7 @@ trees print the same JSON exactly when every output byte agrees:
     python3 scripts/machine_digests.py /path/to/other/checkout/src > old.json
     diff old.json new.json
 
-A run of its 148 commands takes about 40 s on a 2-vCPU VM; every
+A run of its 149 commands takes about 40 s on a 2-vCPU VM; every
 command runs with one BLAS thread.
 """
 
@@ -68,6 +68,7 @@ COMMANDS = [
     *_both("kostant --graph E8"),
     *_both("kostant --graph A3 --truncation 40"),
     "kostant --graph A3 --truncation 3 --format text",
+    "kostant --graph E8 --truncation 32 --format machine",
     "kostant --graph A1 --format text",
     "kostant --graph A2 --format text",
     "kostant --graph E8 --truncation 1000000000000 --format machine",

@@ -162,7 +162,8 @@ def graph_meta(name: str) -> GraphMeta:
 
 def mckay_marks(graph: Graph) -> np.ndarray:
     """Integer marks of an affine graph: the Perron-Frobenius eigenvector
-    normalised to 1 at the extension vertex.  The eigenvalue must be 2."""
+    normalised to 1 at the extension vertex.  The eigenvalue must be 2,
+    and m a left eigenvector too (a user-built graph may be asymmetric)."""
     if not graph.affine or graph.star is None:
         raise ValueError("marks are defined on affine graphs")
     A = graph.adjacency.astype(float)
@@ -175,8 +176,9 @@ def mckay_marks(graph: Graph) -> np.ndarray:
     marks = np.rint(v).astype(np.int64)
     if np.max(np.abs(v - marks)) > 1e-8 or (marks <= 0).any():
         raise ValueError("marks are not positive integers")
-    if not np.array_equal(graph.adjacency @ marks, 2 * marks):
-        raise ValueError("marks do not satisfy A m = 2 m exactly")
+    if not (np.array_equal(graph.adjacency @ marks, 2 * marks)
+            and np.array_equal(marks @ graph.adjacency, 2 * marks)):
+        raise ValueError("marks do not satisfy A m = 2 m = A^T m exactly")
     marks.setflags(write=False)
     return marks
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Graph, ade_graph, affine_ade, graph_meta
+from .catalog import Graph, ade_graph, affine_ade, graph_meta, mckay_marks
 from .fusion_core import check_array_size
 from .nimrep import build_nimrep_su2
 from .reports import Check, Report
@@ -32,9 +32,6 @@ from .reports import Check, Report
 __all__ = ["McKayGraphError", "CertificationError", "KostantSeries",
            "mckay_series", "kostant_poly", "find_rs",
            "nimrep_match", "KostantSuite", "kostant_suite", "format_poly"]
-
-_TAIL_ROWS = 4096       # tail degrees certified at once (no series copy)
-
 
 class McKayGraphError(ValueError):
     """The recursion certifies the input is not a McKay graph."""
@@ -74,16 +71,17 @@ def format_poly(coeffs) -> str:
 def mckay_series(graph: Graph, J: int) -> KostantSeries:
     """Exact integer forward recursion from the extension vertex.
 
-    Raises McKayGraphError when a coefficient goes negative or exceeds
-    the j + 1 bound; both certify the graph is not a McKay graph.
-    Raises ValueError before allocating a table over MAX_ARRAY_BYTES.
+    Raises McKayGraphError when the graph has no marks or a coefficient
+    goes negative; both certify the graph is not a McKay graph.  Raises
+    ValueError before allocating a table over MAX_ARRAY_BYTES.
 
-    A returned, read-only table therefore needs no re-check: n_0 is
-    assigned, the three-term identity builds it in exact int64, and
-    0 <= n_j^g <= j + 1 is checked here.  With marks m (mckay_marks
-    proves A_hat m = 2 m exactly, m_* = 1) and A_hat symmetric,
-    m . n_0 = 1, m . n_1 = 2 and m . n_{j+1} = 2 m . n_j - m . n_{j-1},
-    so the total dimension m . n_j is j + 1.
+    A returned, read-only table needs no re-check: n_0 is assigned and
+    the three-term identity builds it in exact int64.  The marks m are
+    positive integers with A_hat m = 2 m = A_hat^T m exactly and m_* = 1,
+    so m . n_0 = 1, m . n_1 = 2 and m . n_{j+1} = 2 m . n_j - m . n_{j-1}:
+    m . n_j = j + 1.  With n_j >= 0 that gives n_j^g <= j + 1, so only
+    the sign is checked, and int64 cannot wrap before the first negative
+    row, whose two predecessors lie in [0, j + 1].
     """
     if not graph.affine:
         raise ValueError("mckay_series needs an affine graph")
@@ -91,18 +89,20 @@ def mckay_series(graph: Graph, J: int) -> KostantSeries:
         raise ValueError("truncation must be >= 1")
     nv = graph.n_vertices
     check_array_size(f"restriction series to order {J}", J + 1, nv)
+    try:
+        mckay_marks(graph)
+    except ValueError as exc:
+        raise McKayGraphError(f"graph is not a McKay graph: {exc}") from None
     adj = graph.adjacency.astype(np.int64)
     n = np.zeros((J + 1, nv), dtype=np.int64)
     n[0, graph.star] = 1
     n[1] = adj @ n[0]
     for j in range(1, J):
         n[j + 1] = adj @ n[j] - n[j - 1]
-    bad = np.argwhere((n < 0) | (n > np.arange(1, J + 2)[:, None]))
-    if bad.size:
-        j, g = (int(x) for x in bad[0])
+    if n.min() < 0:
+        j, g = (int(x) for x in np.argwhere(n < 0)[0])
         raise McKayGraphError(
-            f"graph is not a McKay graph: n_{j}^{g} = {int(n[j, g])} "
-            f"outside [0, {j + 1}]")
+            f"graph is not a McKay graph: n_{j}^{g} = {int(n[j, g])} < 0")
     n.setflags(write=False)
     return KostantSeries(graph=graph, J=J, n=n)
 
@@ -122,35 +122,30 @@ def kostant_poly(series: KostantSeries, r: int, s: int) -> np.ndarray:
     h = r + s - 2, and return the read-only int64 table P of shape
     (vertices, h + 1) whose row g holds p_g: p_g(q) = sum_i P[g, i] q^i.
 
-    The tail must vanish on the whole window (h, J - r - s] and the
-    surviving coefficients must be non-negative integers with
-    p_* = 1 + q^h exactly; otherwise CertificationError identifies the
-    first offending vertex and degree.
+    The recursion gives q A_hat f = (1 + q^2) f - e_*, so p = f (1 -
+    q^r)(1 - q^s) satisfies q A_hat p = (1 + q^2) p - e_* (1 - q^r)
+    (1 - q^s) and p_m = A_hat p_(m-1) - p_(m-2) for every m > h + 2.
+    Zero rows h + 1 and h + 2 thus prove the whole tail zero; with them,
+    the coefficients up to degree h must be non-negative and p_* must be
+    1 + q^h exactly, else CertificationError names the first offending
+    vertex and degree.
     """
     if min(r, s) < 1:
         raise ValueError("(r, s) must be positive")
     h = r + s - 2
-    if series.J < 2 * h + r + s:
-        raise ValueError(f"truncation {series.J} < 2h + r + s = "
-                         f"{2 * h + r + s}; not enough terms to certify")
-    f = series.n
-    head = _product_coeffs(f[:h + 1], r, s)
-    first = np.zeros(f.shape[1], dtype=np.int64)  # first non-zero, 0: none
-    end = series.J - r - s + 1
-    for a in range(h + 1, end, _TAIL_ROWS):
-        lo = max(0, a - r - s)            # degrees from a on are exact
-        block = _product_coeffs(f[lo:min(a + _TAIL_ROWS, end)], r, s)[a - lo:]
-        new = (first == 0) & block.any(axis=0)
-        first[new] = a + np.argmax(block[:, new] != 0, axis=0)
-    bad = (first > 0) | (head < 0).any(axis=0)
+    if series.J < h + 2:
+        raise ValueError(f"truncation {series.J} < h + 2 = {h + 2}; "
+                         f"not enough terms to certify")
+    p = _product_coeffs(series.n[:h + 3], r, s)
+    head, tail = p[:h + 1], p[h + 1:]
+    bad = tail.any(axis=0) | (head < 0).any(axis=0)
     if bad.any():
         g = int(np.argmax(bad))
-        if first[g]:
-            i = int(first[g])
-            c = _product_coeffs(f[max(0, i - r - s):i + 1, g], r, s)[-1]
+        if tail[:, g].any():
+            i = h + 1 + int(np.argmax(tail[:, g] != 0))
             raise CertificationError(
                 f"(r, s) = ({r}, {s}): vertex {g} has residual "
-                f"coefficient {int(c)} at degree {i} > h = {h}")
+                f"coefficient {int(p[i, g])} at degree {i} > h = {h}")
         i = int(np.argmax(head[:, g] < 0))
         raise CertificationError(
             f"(r, s) = ({r}, {s}): vertex {g} has negative "
@@ -209,13 +204,12 @@ def nimrep_match(graph: Graph, r: int, s: int, P: np.ndarray) -> Report:
     ties the two constructions together: P comes from the affine
     series, the G_j from the ordinary adjacency alone.
 
-    The three-term identity needs no check here.  The recursion gives
-    q A_hat f = (1 + q^2) f - e_* as power series, so p = f (1 - q^r)
-    (1 - q^s) satisfies q A_hat p = (1 + q^2) p - e_* (1 - q^r)(1 - q^s).
-    kostant_poly certifies a zero tail of p on (h, J - r - s], and
-    J - r - s >= 2h >= h + 2, so the table P obeys that identity through
-    degree h + 2.  The star row reads (1 + q^2) p_* - q a . p = (1 -
-    q^r)(1 - q^s), which holds by that definition.
+    The three-term identity needs no check here.  p = f (1 - q^r)
+    (1 - q^s) satisfies q A_hat p = (1 + q^2) p - e_* (1 - q^r)(1 - q^s)
+    as power series (see kostant_poly), and kostant_poly certifies p zero
+    at degrees h + 1 and h + 2, so the table P obeys that identity
+    through degree h + 2.  The star row reads (1 + q^2) p_* - q a . p =
+    (1 - q^r)(1 - q^s), which holds by that definition.
     """
     h = r + s - 2
     k = h - 2
@@ -255,8 +249,8 @@ class KostantSuite:
 def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
     """Run the full pipeline for a named ADE graph.
 
-    Truncation defaults to 3h + 4, enough to certify any pair with
-    r + s = h + 2.
+    Truncation defaults to 3h + 4; any J >= h + 2 certifies the same
+    pair with the same polynomials.
     """
     meta = graph_meta(name)
     h = meta.coxeter

@@ -96,11 +96,18 @@ def build_nimrep_su2(graph: Graph, k: int) -> Nimrep:
 
 def verify_nimrep(nim: Nimrep, F: FusionSystem) -> Report:
     """Exact integer checks of the nimrep axioms plus the top-label
-    symmetry and the Perron-Frobenius cross-check (to 1e-9).
+    symmetry.
 
     G_0 = 1 and non-negative entries are not re-checked: build_nimrep_su2
     assigns G_0 = 1, G_1 is the graph's adjacency matrix, and every later
     G_j with a negative entry raises NimrepBuildError("negative") first.
+
+    Nor is the Perron-Frobenius eigenvalue rho of the adjacency A: a
+    build has G_j = U_j(A) >= 0 for j <= k and U_{k+1}(A) = 0, so every
+    eigenvalue of A is 2cos(pi m/(k+2)) with 1 <= m <= k + 1.  If rho
+    had m >= 2, t = floor((k+2)/m) + 1 <= k + 1 would give U_{t-1}(rho)
+    < 0, yet G_{t-1} v >= 0 for the non-negative Perron-Frobenius vector
+    v.  So rho = 2cos(pi/(k+2)) exactly.
     """
     G = nim.G
     k = nim.level
@@ -118,11 +125,6 @@ def verify_nimrep(nim: Nimrep, F: FusionSystem) -> Report:
                         f"max deviation {rep_dev} (exact integers)"))
     checks.append(Check("top-permutation", is_permutation_matrix(G[k]),
                         "G_k is a permutation matrix"))
-    pf = float(np.linalg.eigvalsh(nim.graph.adjacency.astype(float))[-1])
-    want_pf = 2.0 * np.cos(np.pi / (k + 2))
-    checks.append(Check("pf-eigenvalue", abs(pf - want_pf) <= 1e-9,
-                        f"|adjacency PF {pf:.12f} - 2cos(pi/{k + 2})| "
-                        f"= {abs(pf - want_pf):.3e}"))
     return Report(title=f"nimrep axioms ({nim.graph.name} at level {k})",
                   checks=tuple(checks))
 

@@ -263,6 +263,39 @@ def expand_rational_series(p: np.ndarray, r: int, s: int, J: int) -> np.ndarray:
     return out
 
 
+def affine_series(adjacency, star: int, J: int) -> np.ndarray:
+    """Restriction series n[j, g], 0 <= j <= J, of an affine graph:
+    n_0 = e_star, n_1 = A n_0 and n_{j+1} = A n_j - n_{j-1}."""
+    A = np.asarray(adjacency, dtype=np.int64)
+    n = np.zeros((J + 1, A.shape[0]), dtype=np.int64)
+    n[0, star] = 1
+    for j in range(J):
+        n[j + 1] = A @ n[j] - (n[j - 1] if j else 0)
+    return n
+
+
+def window_polynomials(n: np.ndarray, star: int, r: int,
+                       s: int) -> np.ndarray | None:
+    """Numerators p_g = f_g(q) (1 - q^r)(1 - q^s) of the series table
+    n[j, g], 0 <= j <= J, as rows of a (vertices, h + 1) table with
+    h = r + s - 2, or None unless they certify.
+
+    The product is two strided differences, each exact through degree
+    J.  The pair certifies when every coefficient on the whole window
+    (h, J] is zero, every coefficient up to degree h is non-negative,
+    and p_star = 1 + q^h.
+    """
+    p = n.T.copy()
+    for stride in (r, s):
+        p[:, stride:] = p[:, stride:] - p[:, :-stride]
+    h = r + s - 2
+    star_want = [1 if i in (0, h) else 0 for i in range(h + 1)]
+    if (p[:, h + 1:].any() or (p[:, :h + 1] < 0).any()
+            or p[star, :h + 1].tolist() != star_want):
+        return None
+    return p[:, :h + 1]
+
+
 # ---------------------------------------------------------------------------
 # closed forms for the nearest-neighbour partition function on a torus
 

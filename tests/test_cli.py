@@ -156,12 +156,14 @@ def test_catalog_machine_golden_bytes(command):
 # Unlike the enum output these print float residuals, so the digits are
 # specific to this numpy/OpenBLAS build; another build may need new values.
 # The nimrep, kostant and chiral digests changed when the report checks
-# that cannot fail (those restating how the data was built) were deleted.
+# that cannot fail (those restating how the data was built) were deleted;
+# the nimrep digest changed again when the pf-eigenvalue line went, since
+# a successful build proves that eigenvalue (see verify_nimrep).
 VERIFIER_MACHINE_SHA256 = {
     ("modular --level 16", None):
         "50910c78fb5e9cb8245bb6196e66fffbdf62b56e9e8fc5e3d1397d47c96555d9",
     ("nimrep --graph E7 --level 16", None):
-        "f13da4a5c441a056b4ac6231c95b2b241a3e651883d32755d68beb929dfa99ac",
+        "3cd52a7a0670c0491e97f5accc7a0fa4e6f9d007bfea647fc9f3036ea3485bde",
     ("kostant --graph E8", None):
         "d78252cbfea7b175ae33654cd3f489f1b9b4aa5c160e793fb5f74a7f4319c8e5",
     ("chiral --level 16 --invariant", "height-18"):

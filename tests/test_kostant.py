@@ -21,7 +21,8 @@ from modkit.kostant import (
 )
 from modkit.nimrep import build_nimrep_su2
 
-from oracles import cyclic_restriction_counts, expand_rational_series
+from oracles import (affine_series, cyclic_restriction_counts,
+                     expand_rational_series, window_polynomials)
 
 ALL_NAMES = tuple(f"A{i}" for i in range(1, 9)) + \
     tuple(f"D{i}" for i in range(4, 9)) + ("E6", "E7", "E8")
@@ -117,12 +118,17 @@ def test_ordinary_graph_rejected():
 
 
 def test_non_mckay_graph_certified():
-    # a path flagged affine: the recursion goes negative at j = 4
+    # graphs flagged affine without marks m, A m = 2 m = m^T A exactly
     from modkit.catalog import Graph
-    path = Graph(name="path3", adjacency=ade_graph("A3").adjacency,
-                 affine=True, star=0, iota=0)
-    with pytest.raises(McKayGraphError):
-        mckay_series(path, 10)
+    for adjacency in (
+        ade_graph("A3").adjacency,          # a path: PF eigenvalue sqrt 2
+        np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64),  # K4
+        # A m = 2 m with m = (1, 1, 1), but m^T A = (2, 3, 1)
+        np.array([[0, 2, 0], [1, 0, 1], [1, 1, 0]]),
+    ):
+        g = Graph(name="g", adjacency=adjacency, affine=True, star=0, iota=1)
+        with pytest.raises(McKayGraphError, match="not a McKay graph"):
+            mckay_series(g, 10)
 
 
 def test_certified_pairs():
@@ -247,29 +253,64 @@ def test_format_poly():
     assert format_poly([0]) == "0"
 
 
+def test_certificate_matches_window_oracle():
+    # two zero rows at degrees h + 1 and h + 2 certify exactly the pairs
+    # whose product vanishes on the whole window (h, J], with the same
+    # polynomials, on all 4,740 pairs r <= s, r + s <= h + 2
+    pairs = certified = 0
+    for name in ADE_NAMES:
+        g = affine_ade(name)
+        h = graph_meta(name).coxeter
+        series = mckay_series(g, 3 * h + 4)
+        n = affine_series(g.adjacency, g.star, 3 * h + 4)
+        for r in range(1, h + 2):
+            for s in range(r, h + 3 - r):
+                want = window_polynomials(n, g.star, r, s)
+                try:
+                    got = kostant_poly(series, r, s)
+                except CertificationError:
+                    got = None
+                assert (got is None) == (want is None), (name, r, s)
+                if got is not None:
+                    assert np.array_equal(got, want), (name, r, s)
+                    certified += 1
+                pairs += 1
+    assert (pairs, certified) == (4740, len(ADE_NAMES))
+
+
+def test_truncation_floor_is_h_plus_two():
+    # J = h + 2 reads both certificate rows; one less cannot certify
+    default = kostant_suite("E8")
+    floor = kostant_suite("E8", J=32)
+    assert floor.ok and floor.rs == default.rs == (12, 20)
+    assert np.array_equal(floor.polys, default.polys)
+    with pytest.raises(ValueError, match=r"truncation 31 < h \+ 2 = 32"):
+        kostant_suite("E8", J=31)
+
+
 # sha256 of the CertificationError messages, joined by newlines, of every
 # pair r <= s with r + s <= h + 2 that fails to certify, per graph
 FIRST_OFFENDER_SHA256 = {
     "A1": "4ab002bb2ac3d0a8f2addd50995ff4cbf343ae97f89f29a84b553253b68e6d2d",
     "A2": "4a94833d3461855a22cafa3c5331e78ae4568576bfa3ab6c1b9277fd082b09e3",
     "A3": "2c30c9e6b1ed546db47b0eb412293f114a8b35060777dcc67da67aba60d031cc",
-    "A4": "c6ca96b51d24901599786a4b77b37bf71cf481ad438035465228da0a4198cbec",
-    "A5": "895ea1101988a79ecd8c9458b0b1350d36bef6c386527a7358e5f3af3626d448",
-    "A6": "061b56e60796885684764f9b6bcfe3c519d4f9e64cfc10e3a74ddc94cbf5ea5b",
-    "A7": "04f7e82e05b335ff2b9e1f429cec065b82fe6e6df32f5fe05e20c7bc678dbd74",
-    "A8": "729b9ffd6d49f4e9bc2b1e3aee0250ebdae6779e861ebcea1ca7ee7e3b2d43d7",
+    "A4": "a78fb06e40c3328e125681c18d6427b69402788b7e3ee2628975ac541b12b96c",
+    "A5": "35407d7be87686948ef3fc814827100ad88d61e61ea6d9ea3020d3a59488ccdf",
+    "A6": "f179bf457dc3571f1b22a3cacd077a7b225d1af69e51532e6d912d6650992c52",
+    "A7": "605c7692237ee5fc57db170c76d1a8fc9dd9ca8a73342792ebce36944b3b7ec3",
+    "A8": "c58556f68ddc31ee70c4f095f5c93d9fc15e22ff313cabb60b34c190bd64beae",
     "D4": "220b4efcda08090979f4fee866307213d1206d8bf890e4dd21f902ed80b85b97",
-    "D5": "df8ae5c5fc1754628d51b2cb17f4ce9616bf40c674e6a52df82d679553359c7a",
-    "D6": "2600d7479269e8e622c1fbaaf4d956ae55ee8fae0f99d79af1743e94a3b030bc",
-    "D7": "08ea30c9f7455a671c8e2cc6df988ca2239c481e1876a6c0dbd6cdee7ff2cb0f",
-    "D8": "8803c844cc567f29d454c211552fda1d7ab9df464374b84003a1d5f53920c874",
-    "E6": "bf1b5e3e836ec4dd17958d59ea78f5b0a645eb72bb0a8d72210e11a606dd7f1e",
-    "E7": "afaf44d53f78a599ce21e4602d3c6974a1e6a36f2e55743cfd9b7c7bf9cd4349",
-    "E8": "d1edd11a68f4115d0da5d3107e292d95624468d774a38f1f2b3b8ef56492634c",
+    "D5": "4e97812d1f9fa4fe2adf0ff8938f10960201e5ee91265dae4440d0ef4d009894",
+    "D6": "fec0ab43b1152045d92a658d0c7747ec2bfe8143b1f1f11e800b6dae2c7fcddd",
+    "D7": "cbab4293e19cfcfbcae14ac7db32b65c50e08e2d941ad460bd884d1f4502bb2d",
+    "D8": "3b46e0d877961583b450525ce8838e8947ab09c1adf8d1603d8e1bb42c324c13",
+    "E6": "df80305bd282ee2c5b2dd86634123a05dc17f88581ebc2ed15db3c481ed5fd5c",
+    "E7": "83ad67bad2850a0862d54867763dbe07fd9ed352dac7c640831db271d0faf57e",
+    "E8": "37e6961fc396086353fe5c89cd14c54a2f7b7e631c280aad723ccd0896257a07",
 }
 
 
-def _first_offender_digest(name: str) -> str:
+def _first_offender_messages(name: str) -> list[str]:
     h = graph_meta(name).coxeter
     series = mckay_series(affine_ade(name), 3 * h + 4)
     messages = []
@@ -279,29 +320,31 @@ def _first_offender_digest(name: str) -> str:
                 kostant_poly(series, r, s)
             except CertificationError as exc:
                 messages.append(str(exc))
-    return hashlib.sha256("\n".join(messages).encode()).hexdigest()
+    return messages
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_first_offender_messages(name):
-    # each message names the first failing vertex and degree; 701 in all,
-    # with both the residual-tail and the negative-coefficient kinds
-    assert _first_offender_digest(name) == FIRST_OFFENDER_SHA256[name]
+    # each message names the first failing vertex and degree
+    messages = "\n".join(_first_offender_messages(name))
+    assert hashlib.sha256(messages.encode()).hexdigest() == \
+        FIRST_OFFENDER_SHA256[name]
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7])
-def test_first_offender_messages_in_small_blocks(monkeypatch, rows):
-    # the tail is read in blocks of _TAIL_ROWS degrees; blocks that split
-    # the window anywhere give the messages of a single block
-    monkeypatch.setattr(kostant, "_TAIL_ROWS", rows)
-    for name in ("A5", "D7", "E8"):
-        assert _first_offender_digest(name) == FIRST_OFFENDER_SHA256[name]
+def test_first_offender_message_kinds():
+    # 701 messages on the 16 graphs, of both kinds: a residual in the
+    # two certificate rows and a negative coefficient up to degree h
+    messages = [m for name in ALL_NAMES for m in _first_offender_messages(name)]
+    assert len(messages) == 701
+    assert any(" residual coefficient " in m for m in messages)
+    assert any(" negative coefficient " in m for m in messages)
 
 
 @pytest.mark.parametrize("name", ["E8", "D16"])
 def test_suite_memory_under_one_and_a_half_tables(name):
-    # no candidate pair copies the (J + 1, nv) series: the tracemalloc
-    # peak of the whole suite stays within 1.5 times the table
+    # no candidate pair reads more than h + 3 rows of the (J + 1, nv)
+    # series and its bound check allocates no mask: the tracemalloc
+    # peak of the whole suite stays within 1.05 times the table
     tracemalloc.start()
     try:
         suite = kostant_suite(name, J=50_000)
@@ -309,7 +352,7 @@ def test_suite_memory_under_one_and_a_half_tables(name):
     finally:
         tracemalloc.stop()
     assert suite.ok
-    assert peak <= 1.5 * suite.series.n.nbytes
+    assert peak <= 1.05 * suite.series.n.nbytes
 
 
 def test_suite_certifies_each_pair_once(monkeypatch):
