@@ -25,13 +25,13 @@ from .invariant_enum import (BudgetExceededError, EnumerationError,
                              type_I_factor)
 from .kostant import (CertificationError, KostantSeries,
                       McKayGraphError, find_rs, kostant_poly,
-                      kostant_suite, mckay_series, nimrep_match)
+                      kostant_suite, mckay_series)
 from .modular_data import (DegenerateNormalizationError,
                            DichotomyViolation, ModularData,
                            degenerate_sectors, modular_data,
                            verify_modular, verlinde_check)
 from .nimrep import (Nimrep, NimrepBuildError, build_nimrep_su2,
-                     spectrum_check, verify_nimrep)
+                     spectrum_check)
 from .reports import Check, Report
 
 __all__ = [
@@ -48,11 +48,10 @@ __all__ = [
     "matrix_stats", "twist_factor", "twist_classes", "type_I_factor",
     "CertificationError", "KostantSeries",
     "McKayGraphError", "find_rs", "kostant_poly", "kostant_suite",
-    "mckay_series", "nimrep_match",
+    "mckay_series",
     "DegenerateNormalizationError", "DichotomyViolation", "ModularData",
     "degenerate_sectors", "modular_data", "verify_modular",
     "verlinde_check",
     "Nimrep", "NimrepBuildError", "build_nimrep_su2", "spectrum_check",
-    "verify_nimrep",
     "Check", "Report",
 ]

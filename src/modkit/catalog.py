@@ -2,7 +2,9 @@
 
 Generators for SU(2)_k fusion systems with twists, cyclic systems,
 ordinary and affine ADE graphs with exponents, Coxeter numbers and the
-orders of the associated finite subgroups of SU(2).
+orders of the associated finite subgroups of SU(2), and the one
+Chebyshev recursion over an adjacency matrix (`chebyshev`) behind both
+the nimreps and the restriction series.
 
 Vertex order conventions (fixed so report matrices are reproducible):
 
@@ -21,6 +23,7 @@ The extension vertex of an affine graph is always the last index.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,6 +184,20 @@ def mckay_marks(graph: Graph) -> np.ndarray:
         raise ValueError("marks do not satisfy A m = 2 m = A^T m exactly")
     marks.setflags(write=False)
     return marks
+
+
+def chebyshev(adj: np.ndarray, start: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield U_j(adj) start for j = 0, 1, ... in exact int64.
+
+    U_0 = 1, U_1 = adj and U_(j+1) = adj U_j - U_(j-1): one new array per
+    step, never written to afterwards.  The sequence is endless; the
+    caller stops it, and checks signs and sizes itself.
+    """
+    adj = np.asarray(adj, dtype=np.int64)
+    prev, cur = 0, np.asarray(start, dtype=np.int64)
+    while True:
+        yield cur
+        prev, cur = cur, adj @ cur - prev
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ import numpy as np
 from .fusion_core import FusionSystem, check_fusion_size, make_fusion_system
 from .invariant_enum import on_free_cells
 from .modular_data import (DEGENERATE_TOL, ModularData, build_Y,
-                           degenerate_sectors, twist_phases)
+                           degenerate_sectors)
 from .reports import Check, Report
 
 __all__ = [
@@ -89,20 +89,20 @@ def coupling_reports(F: FusionSystem,
     Z must have Z[0, 0] = 1 and lie on the free cells (ValueError
     otherwise), so Omega Z = Z Omega needs no check: each non-zero Z[l, m]
     has t_l = t_m, so omega_l and omega_m are the same float and the
-    residual is exactly 0.  With deg-sum = sum d_l Z[l, 0] over the
-    degenerate l: Y Z = Z Y to 1e-8, deg-sum <= d^T Z d / w =
+    residual is exactly 0.  For the same reason the phase-weighted sum
+    sum d_l (omega_l^-1 omega_m) Z[l, m] d_m is d^T Z d up to rounding,
+    so it is not re-checked either.  With deg-sum = sum d_l Z[l, 0]
+    over the degenerate l: Y Z = Z Y to 1e-8, deg-sum <= d^T Z d / w =
     w / w_alpha; A = sum Y[0,l] Y[l,m] Z[m,0] and B likewise with
-    Z[0,m] equal w * deg-sum, and C = sum d_l (omega_l^-1 omega_m) Z[l,m]
-    d_m equals d^T Z d, each to DEGENERATE_TOL max(1, |target|); full
-    induction gives w_Delta = w^4 / (d^T Z d)^2 = w^2 to a relative
-    1e-8, i.e. d^T Z d = w.
+    Z[0,m] equal w * deg-sum, each to DEGENERATE_TOL max(1, |target|);
+    full induction gives w_Delta = w^4 / (d^T Z d)^2 = w^2 to a
+    relative 1e-8, i.e. d^T Z d = w.
     """
     Z = _vacuum_normalized(Z)
     if not on_free_cells(F, Z):
         raise ValueError("Z does not commute with Omega; precondition failed")
     Z = Z.astype(float)
     Y = build_Y(F)
-    omega = twist_phases(F)
     deg = degenerate_sectors(F, Y=Y)
     d, w = F.d, F.w
     dZd = float(d @ Z @ d)
@@ -120,14 +120,11 @@ def coupling_reports(F: FusionSystem,
     A = complex(Y[0] @ Y @ Z[:, 0])
     B = complex(Y[0] @ Y @ Z[0, :])
     target = w * deg_sum
-    C = complex((d / omega) @ (Z * omega[None, :]) @ d)
     norms = Report(title=f"chiral norms (n={F.n})", checks=(
         Check("norm-plus", near(A, target),
               f"A = {A:.6f}, w*deg-sum = {target:.6f}"),
         Check("norm-minus", near(B, target),
               f"B = {B:.6f}, w*deg-sum = {target:.6f}"),
-        Check("phase-aligned", near(C, dZd),
-              f"C = {C:.6f}, d Z d = {dZd:.6f}"),
     ))
     w_delta = w ** 4 / dZd ** 2
     counting = Report(title="induced-system counting", checks=(

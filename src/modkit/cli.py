@@ -31,8 +31,7 @@ from .ising import BOND_CONVENTION, ising_partition
 from .kostant import format_poly, kostant_suite
 from .modular_data import (DEGENERATE_TOL, modular_data, verify_modular,
                            verlinde_check)
-from .nimrep import NimrepBuildError, build_nimrep_su2, spectrum_check, \
-    verify_nimrep
+from .nimrep import NimrepBuildError, build_nimrep_su2, spectrum_check
 from .reports import Report
 
 __all__ = ["main"]
@@ -156,7 +155,7 @@ def _cmd_nimrep(args) -> int:
               f"so the matching level is {meta.coxeter - 2})",
               file=sys.stderr)
         return 1
-    reports = [verify_nimrep(nim, F)]
+    reports = []
     lines = []
     for j, G in enumerate(nim.G):
         lines.append(f"G_{j} =")
@@ -190,7 +189,7 @@ def _cmd_kostant(args) -> int:
     for g, coeffs in enumerate(suite.polys):
         star = " (extension vertex)" if g == series.graph.star else ""
         lines.append(f"p_{g}{star} = {format_poly(coeffs)}")
-    reports = [suite.rs_report, suite.match_report]
+    reports = [suite.rs_report]
     machine = {"graph": suite.name, "truncation": series.J,
                "series": series.n.tolist(), "rs": list(suite.rs),
                "polynomials": [{"vertex": g, "coeffs": coeffs}

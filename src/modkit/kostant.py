@@ -5,17 +5,18 @@ The coefficient table n_j^g solves the forward recursion
     n_0 = indicator of the extension vertex "*",
     n_{j+1} = A_hat n_j - n_{j-1}
 
-over the affine adjacency matrix A_hat.  Its generating functions
-f_g(q) = sum_j n_j^g q^j become polynomials after multiplication by
-(1 - q^r)(1 - q^s) for exactly one pair r <= s with r + s = h + 2
-(h the Coxeter number); `find_rs` locates that pair by certifying the
-truncated product and asserts Kostant's r s = 2|G| against the order
-of the binary polyhedral group G, and `nimrep_match` compares the
-resulting polynomial coefficients with nimrep generator entries on the
-ordinary graph, on every ADE family.  Each report check is asserted;
-the identities the construction itself guarantees are proved in the
-docstrings of `mckay_series`, `find_rs` and `nimrep_match` instead of
-being re-checked.
+over the affine adjacency matrix A_hat, i.e. n_j = U_j(A_hat) n_0 by
+`catalog.chebyshev`, the recursion that also builds the nimreps.  Its
+generating functions f_g(q) = sum_j n_j^g q^j become polynomials after
+multiplication by (1 - q^r)(1 - q^s) for exactly one pair r <= s with
+r + s = h + 2 (h the Coxeter number); `find_rs` locates that pair by
+certifying the truncated product and asserts Kostant's r s = 2|G|
+against the order of the binary polyhedral group G.  Those two checks
+are the suite's whole report, asserted on every ADE family.  The
+identities the construction itself guarantees, the match of the
+polynomials with the nimrep generators on the ordinary graph included,
+are proved in the docstrings of `mckay_series`, `kostant_poly` and
+`kostant_suite` instead of being re-checked.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Graph, ade_graph, affine_ade, graph_meta, mckay_marks
+from .catalog import Graph, affine_ade, chebyshev, graph_meta, mckay_marks
 from .fusion_core import check_array_size
-from .nimrep import build_nimrep_su2
 from .reports import Check, Report
 
 __all__ = ["McKayGraphError", "CertificationError", "KostantSeries",
            "mckay_series", "kostant_poly", "find_rs",
-           "nimrep_match", "KostantSuite", "kostant_suite", "format_poly"]
+           "KostantSuite", "kostant_suite", "format_poly"]
 
 class McKayGraphError(ValueError):
     """The recursion certifies the input is not a McKay graph."""
@@ -75,13 +75,14 @@ def mckay_series(graph: Graph, J: int) -> KostantSeries:
     goes negative; both certify the graph is not a McKay graph.  Raises
     ValueError before allocating a table over MAX_ARRAY_BYTES.
 
-    A returned, read-only table needs no re-check: n_0 is assigned and
-    the three-term identity builds it in exact int64.  The marks m are
-    positive integers with A_hat m = 2 m = A_hat^T m exactly and m_* = 1,
-    so m . n_0 = 1, m . n_1 = 2 and m . n_{j+1} = 2 m . n_j - m . n_{j-1}:
-    m . n_j = j + 1.  With n_j >= 0 that gives n_j^g <= j + 1, so only
-    the sign is checked, and int64 cannot wrap before the first negative
-    row, whose two predecessors lie in [0, j + 1].
+    A returned, read-only table needs no re-check: n_0 = e_* is assigned
+    and catalog.chebyshev builds n_j = U_j(A_hat) e_* in exact int64.
+    The marks m are positive integers with A_hat m = 2 m = A_hat^T m
+    exactly and m_* = 1, so m . n_0 = 1, m . n_1 = 2 and m . n_{j+1} =
+    2 m . n_j - m . n_{j-1}: m . n_j = j + 1.  With n_j >= 0 that gives
+    n_j^g <= j + 1, so only the sign is checked, and int64 cannot wrap
+    before the first negative row, whose two predecessors lie in
+    [0, j + 1].
     """
     if not graph.affine:
         raise ValueError("mckay_series needs an affine graph")
@@ -93,12 +94,11 @@ def mckay_series(graph: Graph, J: int) -> KostantSeries:
         mckay_marks(graph)
     except ValueError as exc:
         raise McKayGraphError(f"graph is not a McKay graph: {exc}") from None
-    adj = graph.adjacency.astype(np.int64)
-    n = np.zeros((J + 1, nv), dtype=np.int64)
-    n[0, graph.star] = 1
-    n[1] = adj @ n[0]
-    for j in range(1, J):
-        n[j + 1] = adj @ n[j] - n[j - 1]
+    start = np.zeros(nv, dtype=np.int64)
+    start[graph.star] = 1
+    n = np.empty((J + 1, nv), dtype=np.int64)
+    for row, n_j in zip(n, chebyshev(graph.adjacency, start)):
+        row[:] = n_j
     if n.min() < 0:
         j, g = (int(x) for x in np.argwhere(n < 0)[0])
         raise McKayGraphError(
@@ -191,46 +191,6 @@ def find_rs(series: KostantSeries, h: int, group_order: int
                                    f"h = {h})", checks=checks)
 
 
-def nimrep_match(graph: Graph, r: int, s: int, P: np.ndarray) -> Report:
-    """Kostant polynomial coefficients against nimrep generator entries.
-
-    P is the certified table kostant_poly(series, r, s).  The nimrep is
-    built at level k = h - 2 with h = r + s - 2 (A1 has k = 0 and
-    G = (1,)).  Let a be the row of the extension vertex "*" in the
-    affine adjacency, restricted to the ordinary vertices: e_iota on
-    D and E, e_0 + e_(l-1) on A_l and 2 e_0 on A1.  For each ordinary
-    vertex g the coefficient of q^(j+1) in p_g must equal (a G_j)[g],
-    and every other coefficient of p_g must vanish.  The comparison
-    ties the two constructions together: P comes from the affine
-    series, the G_j from the ordinary adjacency alone.
-
-    The three-term identity needs no check here.  p = f (1 - q^r)
-    (1 - q^s) satisfies q A_hat p = (1 + q^2) p - e_* (1 - q^r)(1 - q^s)
-    as power series (see kostant_poly), and kostant_poly certifies p zero
-    at degrees h + 1 and h + 2, so the table P obeys that identity
-    through degree h + 2.  The star row reads (1 + q^2) p_* - q a . p =
-    (1 - q^r)(1 - q^s), which holds by that definition.
-    """
-    h = r + s - 2
-    k = h - 2
-    if graph.affine:
-        raise ValueError("nimrep_match compares against the ordinary graph")
-    nim = build_nimrep_su2(graph, k)
-    affine = affine_ade(graph.name)
-    a = affine.adjacency[affine.star, :affine.star].astype(np.int64)
-    W = np.zeros((graph.n_vertices, h + 1), dtype=np.int64)
-    W[:, 1:k + 2] = np.array([a @ G for G in nim.G]).T
-    checks = []
-    for g, want in enumerate(W):
-        ok = np.array_equal(P[g], want)
-        checks.append(Check(
-            f"coefficients[{g}]", ok,
-            f"p_{g} = {format_poly(P[g])}"
-            + ("" if ok else f" vs nimrep row {format_poly(want)}")))
-    return Report(title=f"nimrep match ({graph.name}, level {k})",
-                  checks=tuple(checks))
-
-
 @dataclass(frozen=True, eq=False)
 class KostantSuite:
     """Everything the pipeline produces for one ADE graph."""
@@ -239,11 +199,10 @@ class KostantSuite:
     rs: tuple[int, int]
     polys: np.ndarray                     # kostant_poly table for rs
     rs_report: Report
-    match_report: Report
 
     @property
     def ok(self) -> bool:
-        return self.rs_report.ok and self.match_report.ok
+        return self.rs_report.ok
 
 
 def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
@@ -251,16 +210,29 @@ def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
 
     Truncation defaults to 3h + 4; any J >= h + 2 certifies the same
     pair with the same polynomials.
+
+    The polynomials of the ordinary vertices are the nimrep rows, so no
+    report compares them.  Write A_hat = [[A, c], [c^T, 0]], with A the
+    ordinary graph's adjacency and c the star's column over the ordinary
+    vertices (e_iota on D and E, e_0 + e_(l-1) on A_l, 2 e_0 on A1);
+    affine_ade builds A_hat symmetric.  The ordinary rows of
+    (1 - q A_hat + q^2) p = e_* (1 - q^r)(1 - q^s) read (1 - q A + q^2)
+    p_o = q c p_*, so p_o = q sum_j U_j(A) c q^j p_*, and kostant_poly
+    certifies p_* = 1 + q^h.  For i <= h the coefficient of q^i in p_o
+    is therefore U_(i-1)(A) c (0 at i = 0).  The zero rows h + 1 and
+    h + 2 that kostant_poly certifies read U_h(A) c + c = 0 and
+    U_(h+1)(A) c + A c = 0, and the recursion U_(h+1) = A U_h - U_(h-1)
+    then gives U_(h-1)(A) c = 0.  The nimrep of the ordinary graph at
+    level k = h - 2, which builds on every ADE graph, is G_j = U_j(A),
+    symmetric (build_nimrep_su2), so
+    the coefficient of q^i in p_g is (c G_(i-1))[g] for 1 <= i <= h - 1,
+    and 0 at degrees 0 and h.
     """
     meta = graph_meta(name)
     h = meta.coxeter
     if J is None:
         J = 3 * h + 4
-    ordinary = ade_graph(name)
-    affine = affine_ade(name)
-    series = mckay_series(affine, J)
+    series = mckay_series(affine_ade(name), J)
     (r, s), polys, rs_report = find_rs(series, h, meta.group_order)
-    match_report = nimrep_match(ordinary, r, s, polys)
-    return KostantSuite(name=ordinary.name, series=series, rs=(r, s),
-                        polys=polys, rs_report=rs_report,
-                        match_report=match_report)
+    return KostantSuite(name=meta.name, series=series, rs=(r, s),
+                        polys=polys, rs_report=rs_report)

@@ -4,7 +4,8 @@ A nimrep at level k assigns to every label j = 0..k a non-negative
 integer matrix G_j over the graph vertices representing the level-k
 fusion ring.  Here the whole family is generated from the adjacency
 matrix by the same Chebyshev recursion that generates the fusion
-matrices themselves:
+matrices themselves (`catalog.chebyshev`, which also runs the
+restriction series of the kostant module):
 
     G_{-1} = 0,  G_0 = 1,  G_{j+1} = A G_j - G_{j-1}
 
@@ -13,7 +14,8 @@ exactly when the graph's Coxeter number is k + 2: otherwise a negative
 entry appears or the closure relation A G_k = G_{k-1} (i.e.
 "G_{k+1} = 0") breaks, and the failure names the first offending step
 and cell.  At level 0 the closure reads A = 0, so only the one-vertex
-graph A1 (h = 2) builds.
+graph A1 (h = 2) builds.  A successful build proves the nimrep axioms
+(see build_nimrep_su2), so no report restates them.
 
 The spectral test: diagonalising G_l must reproduce the diagonal of a
 coupling matrix Z for the same level, eigenvalue S[l, m]/S[0, m] with
@@ -26,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Graph
-from .fusion_core import FusionSystem, check_array_size, is_permutation_matrix
+from .catalog import Graph, chebyshev
+from .fusion_core import check_array_size
 from .modular_data import ModularData
 from .reports import Check, Report
 
-__all__ = ["NimrepBuildError", "Nimrep", "build_nimrep_su2", "verify_nimrep",
-           "spectrum_check"]
+__all__ = ["NimrepBuildError", "Nimrep", "build_nimrep_su2", "spectrum_check"]
 
 SPECTRUM_TOL = 1e-7   # bound of every spectrum[l] eigenvalue deviation
 
@@ -64,69 +65,56 @@ class Nimrep:
 
 
 def build_nimrep_su2(graph: Graph, k: int) -> Nimrep:
-    """Chebyshev family over an ordinary graph; raises NimrepBuildError
-    when the level does not match the graph, and ValueError before
-    allocating generators over MAX_ARRAY_BYTES."""
+    """Chebyshev family over an ordinary graph with a symmetric
+    adjacency; raises NimrepBuildError when the level does not match
+    the graph, and ValueError on an affine or asymmetric graph and
+    before allocating generators over MAX_ARRAY_BYTES.
+
+    A returned family is a nimrep of gen_su2(k), the truncated
+    Clebsch-Gordan ring N, with G_conj(l) = G_l^T; nothing re-checks it.
+    A build has G_j = U_j(A) >= 0 for j <= k and U_(k+1)(A) = 0, so the
+    recursion run backwards gives U_(k+1+j)(A) = -U_(k+1-j)(A).  The
+    Chebyshev product U_l U_m = sum U_r over r = |l - m|, |l - m| + 2,
+    ..., l + m then folds every r > k onto -U_(2k+2-r), which cancels
+    the term 2k + 2 - r of the same sum: what is left is r up to
+    min(l + m, 2k - l - m), exactly N[l, m, r] (representation).  At
+    l = m = k this reads G_k^2 = G_0 = 1, and a non-negative integer
+    matrix whose square is 1 is a permutation matrix (top-permutation).
+    A polynomial in a symmetric A is symmetric, and su(2) conjugation
+    is trivial, so G_conj(l) = G_l = G_l^T (transpose-conjugate).
+
+    G_0 = 1 and G_1 = A hold by construction, and so does the
+    Perron-Frobenius eigenvalue rho of A: every eigenvalue of A is a
+    root 2cos(pi m/(k+2)), 1 <= m <= k + 1, of U_(k+1).  If rho had
+    m >= 2, t = floor((k+2)/m) + 1 <= k + 1 would give U_(t-1)(rho) < 0,
+    yet G_(t-1) v >= 0 for the non-negative Perron-Frobenius vector v.
+    So rho = 2cos(pi/(k+2)) exactly.
+    """
     if graph.affine:
         raise ValueError("nimreps are built over ordinary graphs")
     if k < 0:
         raise ValueError("level must be >= 0")
+    adj = graph.adjacency
+    if not np.array_equal(adj, adj.T):
+        raise ValueError(f"graph {graph.name} has an asymmetric adjacency; "
+                         f"nimreps are built over symmetric ones")
     nv = graph.n_vertices
     check_array_size(f"nimrep of {k + 1} generators", k + 1, nv, nv)
-    adj = graph.adjacency.astype(np.int64)
-    mats = [np.eye(nv, dtype=np.int64)]
-    prev = 0                              # G_{-1}
-    for j in range(k):
-        nxt = adj @ mats[j] - prev
-        if (nxt < 0).any():
-            a, b = np.argwhere(nxt < 0)[0]
-            raise NimrepBuildError("negative", j + 1, (int(a), int(b)),
-                                   int(nxt[a, b]))
-        prev = mats[j]
-        mats.append(nxt)
-    closure = adj @ mats[k] - prev
-    if closure.any():
-        a, b = np.argwhere(closure != 0)[0]
-        raise NimrepBuildError("closure", k + 1, (int(a), int(b)),
-                               int(closure[a, b]))
-    for m in mats:
-        m.setflags(write=False)
+    mats = []
+    for j, G in enumerate(chebyshev(adj, np.eye(nv, dtype=np.int64))):
+        if j == k + 1:
+            if G.any():
+                a, b = np.argwhere(G != 0)[0]
+                raise NimrepBuildError("closure", j, (int(a), int(b)),
+                                       int(G[a, b]))
+            break
+        if (G < 0).any():
+            a, b = np.argwhere(G < 0)[0]
+            raise NimrepBuildError("negative", j, (int(a), int(b)),
+                                   int(G[a, b]))
+        G.setflags(write=False)
+        mats.append(G)
     return Nimrep(graph=graph, level=k, G=tuple(mats))
-
-
-def verify_nimrep(nim: Nimrep, F: FusionSystem) -> Report:
-    """Exact integer checks of the nimrep axioms plus the top-label
-    symmetry.
-
-    G_0 = 1 and non-negative entries are not re-checked: build_nimrep_su2
-    assigns G_0 = 1, G_1 is the graph's adjacency matrix, and every later
-    G_j with a negative entry raises NimrepBuildError("negative") first.
-
-    Nor is the Perron-Frobenius eigenvalue rho of the adjacency A: a
-    build has G_j = U_j(A) >= 0 for j <= k and U_{k+1}(A) = 0, so every
-    eigenvalue of A is 2cos(pi m/(k+2)) with 1 <= m <= k + 1.  If rho
-    had m >= 2, t = floor((k+2)/m) + 1 <= k + 1 would give U_{t-1}(rho)
-    < 0, yet G_{t-1} v >= 0 for the non-negative Perron-Frobenius vector
-    v.  So rho = 2cos(pi/(k+2)) exactly.
-    """
-    G = nim.G
-    k = nim.level
-    checks: list[Check] = []
-    sym = all(np.array_equal(G[lam], G[F.conj[lam]].T) for lam in range(k + 1))
-    checks.append(Check("transpose-conjugate", sym,
-                        "G_conj(l) = G_l^T"))
-    rep_dev = 0
-    for lam in range(k + 1):
-        for mu in range(k + 1):
-            want = sum(int(F.N[lam, mu, rho]) * G[rho] for rho in range(k + 1))
-            dev = int(np.max(np.abs(G[lam] @ G[mu] - want)))
-            rep_dev = max(rep_dev, dev)
-    checks.append(Check("representation", rep_dev == 0,
-                        f"max deviation {rep_dev} (exact integers)"))
-    checks.append(Check("top-permutation", is_permutation_matrix(G[k]),
-                        "G_k is a permutation matrix"))
-    return Report(title=f"nimrep axioms ({nim.graph.name} at level {k})",
-                  checks=tuple(checks))
 
 
 def spectrum_check(nim: Nimrep, Z: np.ndarray, md: ModularData) -> Report:

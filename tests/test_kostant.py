@@ -17,7 +17,6 @@ from modkit.kostant import (
     kostant_poly,
     kostant_suite,
     mckay_series,
-    nimrep_match,
 )
 from modkit.nimrep import build_nimrep_su2
 
@@ -71,8 +70,8 @@ def test_a1_hand_values():
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_construction_identities(name):
-    # the identities that the mckay_series, kostant_poly and nimrep_match
-    # docstrings prove, and that no report re-checks
+    # the identities that the mckay_series and kostant_poly docstrings
+    # prove, and that no report re-checks
     suite = kostant_suite(name)
     g = suite.series.graph
     A = g.adjacency.astype(np.int64)
@@ -192,58 +191,29 @@ def test_find_rs_fails_off_coxeter():
 @pytest.mark.parametrize("name", ADE_NAMES)
 def test_every_suite_check_is_asserted_and_ok(name):
     suite = kostant_suite(name)
-    nv = ade_graph(name).n_vertices
-    checks = suite.rs_report.checks + suite.match_report.checks
-    assert [c.name for c in checks] == (
-        ["unique-pair", "rs-vs-group-order"]
-        + [f"coefficients[{g}]" for g in range(nv)])
+    checks = suite.rs_report.checks
+    assert [c.name for c in checks] == ["unique-pair", "rs-vs-group-order"]
     assert all(c.ok for c in checks), [c.line() for c in checks]
     r, s = suite.rs
-    assert suite.rs_report.checks[1].detail == \
+    assert checks[1].detail == \
         f"r*s = {r * s}, 2|G| = {2 * graph_meta(name).group_order}"
 
 
-def test_nimrep_match_on_a_graphs():
-    # the star of affine A_l has two neighbours, v0 and v(l-1), so p_g
-    # sums two nimrep rows; A1's star meets v0 by a double edge
-    assert [c.line() for c in kostant_suite("A1").match_report.checks] == [
-        "[  ok] coefficients[0]: p_0 = 2*q"]
-    assert [c.line() for c in kostant_suite("A2").match_report.checks] == [
-        "[  ok] coefficients[0]: p_0 = q + q^2",
-        "[  ok] coefficients[1]: p_1 = q + q^2"]
-
-
-@pytest.mark.parametrize("name", ("A1", "A2", "D4", "E6"))
-def test_nimrep_match_detects_wrong_coefficient(name):
-    # one coefficient off by 1 at an ordinary vertex fails the comparison
-    suite = kostant_suite(name)
-    P = suite.polys.copy()
-    assert suite.series.graph.star != 0
-    P[0, 1] += 1
-    rep = nimrep_match(ade_graph(name), *suite.rs, P)
-    check = rep.checks[0]
-    assert check.name == "coefficients[0]"
-    assert not check.ok and check.line().startswith("[FAIL]")
-    assert "vs nimrep row" in check.detail
-    assert not rep.ok
-
-
 def test_match_coefficients_equal_nimrep_rows():
-    # p_g coefficient at q^(j+1) is the (iota, g) entry of G_j
-    for name, k in (("E6", 10), ("E8", 28)):
+    # the kostant_suite docstring proves that p_g has coefficient
+    # (c G_(i-1))[g] at q^i for 1 <= i <= h - 1 and 0 at degrees 0 and h,
+    # with c the star's column over the ordinary vertices (e_iota on D
+    # and E, e_0 + e_(l-1) on A_l, 2 e_0 on A1)
+    for name in ADE_NAMES:
         suite = kostant_suite(name)
-        g_ord = ade_graph(name)
-        nim = build_nimrep_su2(g_ord, k)
-        star = suite.series.graph.star
-        for g, p in enumerate(suite.polys):
-            if g == star:
-                continue
-            coeffs = np.zeros(k + 2, dtype=np.int64)
-            m = min(len(p), k + 2)
-            coeffs[:m] = p[:m]
-            for j in range(k + 1):
-                assert coeffs[j + 1] == nim.G[j][g_ord.iota, g], \
-                    (name, g, j)
+        h = graph_meta(name).coxeter
+        affine = suite.series.graph
+        star = affine.star
+        c = affine.adjacency[:star, star]
+        G = np.stack(build_nimrep_su2(ade_graph(name), h - 2).G)
+        want = np.zeros((star, h + 1), dtype=np.int64)
+        want[:, 1:h] = (c @ G).T
+        assert np.array_equal(suite.polys[:star], want), name
 
 
 def test_format_poly():

@@ -1,6 +1,6 @@
 """Library modules never import the command-line front end, only
-modular_data imports mpmath, and the test oracles never import the
-library they check."""
+modular_data imports mpmath, kostant does not import nimrep, and the
+test oracles never import the library they check."""
 
 import ast
 from pathlib import Path
@@ -41,6 +41,14 @@ def test_only_modular_data_imports_mpmath():
     users = [p.name for p in sorted(SRC.glob("*.py"))
              if _imports(ast.parse(p.read_text(), str(p)), "mpmath")]
     assert users == ["modular_data.py"]
+
+
+def test_kostant_does_not_import_nimrep():
+    # both build on catalog.chebyshev, and kostant_suite proves the match
+    # of its polynomials with the nimrep rows instead of recomputing it
+    path = SRC / "kostant.py"
+    assert not _imports(ast.parse(path.read_text(), str(path)),
+                        "modkit.nimrep")
 
 
 def test_scan_detects_every_import_form():
