@@ -165,20 +165,17 @@ def graph_meta(name: str) -> GraphMeta:
 
 def mckay_marks(graph: Graph) -> np.ndarray:
     """Integer marks of an affine graph: the Perron-Frobenius eigenvector
-    normalised to 1 at the extension vertex.  The eigenvalue must be 2,
-    and m a left eigenvector too (a user-built graph may be asymmetric)."""
+    normalised to 1 at the extension vertex.  eigh's top eigenvector,
+    scaled and rounded, must be positive with A m = 2 m = A^T m exactly
+    (a user-built graph may be asymmetric); a positive eigenvector makes
+    2 the Perron-Frobenius eigenvalue, so no float bound is needed."""
     if not graph.affine or graph.star is None:
         raise ValueError("marks are defined on affine graphs")
-    A = graph.adjacency.astype(float)
-    vals, vecs = np.linalg.eigh(A)
-    lam = float(vals[-1])
-    if abs(lam - 2.0) > 1e-10:
-        raise ValueError(f"Perron-Frobenius eigenvalue {lam!r} != 2; not affine ADE")
-    v = vecs[:, -1]
-    v = v / v[graph.star]
-    marks = np.rint(v).astype(np.int64)
-    if np.max(np.abs(v - marks)) > 1e-8 or (marks <= 0).any():
+    vecs = np.linalg.eigh(graph.adjacency.astype(float))[1]
+    v = np.rint(vecs[:, -1] / vecs[graph.star, -1])
+    if not (v > 0).all():
         raise ValueError("marks are not positive integers")
+    marks = v.astype(np.int64)
     if not (np.array_equal(graph.adjacency @ marks, 2 * marks)
             and np.array_equal(marks @ graph.adjacency, 2 * marks)):
         raise ValueError("marks do not satisfy A m = 2 m = A^T m exactly")

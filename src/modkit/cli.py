@@ -146,7 +146,6 @@ def _cmd_enum(args) -> int:
 
 def _cmd_nimrep(args) -> int:
     g = ade_graph(args.graph)
-    F = gen_su2(args.level)
     try:
         nim = build_nimrep_su2(g, args.level)
     except NimrepBuildError as exc:
@@ -161,6 +160,7 @@ def _cmd_nimrep(args) -> int:
         lines.append(f"G_{j} =")
         lines += _matrix_lines(G)
     if args.against:
+        F = gen_su2(args.level)
         obj = load_invariant_catalog(args.against, n=F.n)
         Zs = (np.array(rec["Z"], dtype=np.int64) for rec in obj["invariants"])
         match = [Z for Z in Zs if np.trace(Z) == g.n_vertices]

@@ -43,7 +43,8 @@ import numpy as np
 
 from .fusion_core import (MAX_ARRAY_BYTES, FusionSystem,
                           is_permutation_matrix)
-from .modular_data import ModularData, modular_data_mp, mp_residual
+from .modular_data import (ModularData, degenerate_sectors, modular_data_mp,
+                           mp_residual)
 
 __all__ = [
     "EnumerationError",
@@ -231,9 +232,17 @@ def enumerate_invariants(md: ModularData,
     The search runs on X = D Z[cells] in exact integer arithmetic.  Each
     solution must commute with S to FLOAT_TOL in float arithmetic and
     to MP_TOL at 40 digits; a solution that fails either check
-    raises EnumerationError."""
+    raises EnumerationError.  So does a system with a degenerate label
+    besides the vacuum: there d^T Z d = w is no identity and commuting
+    with S and T does not make Z a coupling matrix."""
     F = md.system
     n = F.n
+    Y = md.S * abs(md.z)                  # S = Y / |z|
+    degenerate = [F.labels[l] for l in degenerate_sectors(F, Y=Y) if l]
+    if degenerate:
+        raise EnumerationError(
+            f"system is not modular: labels {', '.join(degenerate)} are "
+            f"degenerate besides the vacuum")
     cells, K, D, pivots, bounds = commutant_basis(md)
     dim = K.shape[1]
     g = np.array([F.d[a] * F.d[b] for a, b in cells])  # d^T Z d weights

@@ -9,14 +9,14 @@ over the affine adjacency matrix A_hat, i.e. n_j = U_j(A_hat) n_0 by
 `catalog.chebyshev`, the recursion that also builds the nimreps.  Its
 generating functions f_g(q) = sum_j n_j^g q^j become polynomials after
 multiplication by (1 - q^r)(1 - q^s) for exactly one pair r <= s with
-r + s = h + 2 (h the Coxeter number); `find_rs` locates that pair by
-certifying the truncated product and asserts Kostant's r s = 2|G|
-against the order of the binary polyhedral group G.  Those two checks
-are the suite's whole report, asserted on every ADE family.  The
-identities the construction itself guarantees, the match of the
-polynomials with the nimrep generators on the ordinary graph included,
-are proved in the docstrings of `mckay_series`, `kostant_poly` and
-`kostant_suite` instead of being re-checked.
+r + s = h + 2 (h the Coxeter number); `find_rs` reads r off the star
+series, certifies the truncated product and asserts Kostant's r s =
+2|G| against the order of the binary polyhedral group G, the suite's
+whole report, asserted on every ADE family.  The identities the
+construction itself guarantees, the match of the polynomials with the
+nimrep generators on the ordinary graph included, are proved in the
+docstrings of `mckay_series`, `kostant_poly` and `kostant_suite`
+instead of being re-checked.
 """
 
 from __future__ import annotations
@@ -162,33 +162,23 @@ def kostant_poly(series: KostantSeries, r: int, s: int) -> np.ndarray:
 
 def find_rs(series: KostantSeries, h: int, group_order: int
             ) -> tuple[tuple[int, int], np.ndarray, Report]:
-    """Search all pairs r <= s with r + s = h + 2 and certify.
+    """Certify the pair r <= s, r + s = h + 2, read off the star series.
 
-    Returns the first certifying pair, its kostant_poly table and a
-    report.  The search raises CertificationError when no pair
-    certifies; unique-pair lists every pair that does, and
-    rs-vs-group-order asserts r*s = 2 group_order for the first.
+    Returns the pair, its kostant_poly table and a report whose one
+    check, rs-vs-group-order, asserts r*s = 2 group_order.  No other pair
+    can certify: a certified pair gives f_* = (1 + q^h) / ((1 - q^r)
+    (1 - q^s)), whose coefficients are non-negative, zero in degrees
+    1 .. r - 1 (r <= s, and r <= h unless r = s = 1) and positive at r.
+    So r is the first non-zero degree after 0, and CertificationError on
+    that pair proves that no pair certifies.
     """
-    successes: dict[tuple[int, int], np.ndarray] = {}
-    for r in range(1, (h + 2) // 2 + 1):
-        s = h + 2 - r
-        try:
-            successes[r, s] = kostant_poly(series, r, s)
-        except CertificationError:
-            continue
-    if not successes:
-        raise CertificationError(
-            f"no pair with r + s = {h + 2} certifies; "
-            f"graph is not affine ADE at Coxeter number {h}")
-    (r, s), P = next(iter(successes.items()))
-    checks = (
-        Check("unique-pair", len(successes) == 1,
-              f"certifying pairs: {list(successes)}"),
-        Check("rs-vs-group-order", r * s == 2 * group_order,
-              f"r*s = {r * s}, 2|G| = {2 * group_order}"),
-    )
-    return (r, s), P, Report(title=f"pair search ({series.graph.name}, "
-                                   f"h = {h})", checks=checks)
+    r = 1 + int(np.argmax(series.n[1:, series.graph.star] != 0))
+    r, s = sorted((r, h + 2 - r))
+    P = kostant_poly(series, r, s)
+    check = Check("rs-vs-group-order", r * s == 2 * group_order,
+                  f"r*s = {r * s}, 2|G| = {2 * group_order}")
+    return (r, s), P, Report(title=f"Kostant pair ({series.graph.name}, "
+                                   f"h = {h})", checks=(check,))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Independent oracles that freeze expected values for the test suite.
 
 Everything here is computed from first principles: closed forms,
-character counting, geometric-series expansion, and exhaustive search.
+character counting, geometric-series expansion, group closure, and
+exhaustive search.
 Nothing imports the enumeration, recursion, or transfer-matrix code
 under test, so agreement between the two sides is meaningful.
 """
@@ -294,6 +295,93 @@ def window_polynomials(n: np.ndarray, star: int, r: int,
             or p[star, :h + 1].tolist() != star_want):
         return None
     return p[:, :h + 1]
+
+
+# ---------------------------------------------------------------------------
+# binary polyhedral groups in SU(2), as unit quaternions (w, x, y, z)
+
+
+def quaternion_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton products of quaternions along the last axis (broadcast)."""
+    a1, b1, c1, d1 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    a2, b2, c2, d2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2], axis=-1)
+
+
+def _find(G: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Index in G of each quaternion of q (-1 where none lies within
+    1e-6)."""
+    dist = np.abs(G[None, :, :] - np.atleast_2d(q)[:, None, :]).max(axis=2)
+    return np.where(dist.min(axis=1) < 1e-6, dist.argmin(axis=1), -1)
+
+
+def binary_polyhedral_group(name: str) -> np.ndarray:
+    """The finite subgroup of SU(2) that the McKay correspondence pairs
+    with an ADE graph, as a (|G|, 4) array of unit quaternions, by
+    closure of its generators under right multiplication: the cyclic
+    group of order l + 1 for A_l, the binary dihedral group of order
+    4(l - 2) for D_l (e^(i pi / (l - 2)) and j), and the binary
+    tetrahedral, octahedral and icosahedral groups for E6, E7 and E8
+    (i, j and (1 + i + j + k)/2, with (1 + i)/sqrt 2 or (phi + i/phi +
+    j)/2 added, phi the golden ratio)."""
+    family, ell = name[0], int(name[1:])
+    if family == "A":
+        t = 2 * math.pi / (ell + 1)
+        gens = [(math.cos(t), math.sin(t), 0, 0)]
+    elif family == "D":
+        t = math.pi / (ell - 2)
+        gens = [(math.cos(t), math.sin(t), 0, 0), (0, 0, 1, 0)]
+    else:
+        gens = [(0, 1, 0, 0), (0, 0, 1, 0), (0.5, 0.5, 0.5, 0.5)]
+        phi = (1 + math.sqrt(5)) / 2
+        gens += {6: [], 7: [(math.sqrt(0.5), math.sqrt(0.5), 0, 0)],
+                 8: [(phi / 2, 1 / (2 * phi), 0.5, 0)]}[ell]
+    G = np.array([[1.0, 0, 0, 0]])
+    frontier = G
+    while len(frontier):
+        start = len(G)
+        products = quaternion_product(frontier[:, None], np.array(gens))
+        for q in products.reshape(-1, 4):
+            if _find(G, q)[0] < 0:
+                G = np.vstack([G, q])
+        if len(G) > 1000:
+            raise ValueError(f"{name}: the generators do not close")
+        frontier = G[start:]
+    return G
+
+
+def conjugacy_classes(G: np.ndarray) -> list[list[int]]:
+    """The conjugacy classes of a quaternion group, as sorted index
+    lists: the class of x is {g x g^-1 : g in G}."""
+    inverse = G * np.array([1, -1, -1, -1])
+    classes, seen = [], set()
+    for i in range(len(G)):
+        if i not in seen:
+            orbit = quaternion_product(quaternion_product(G, G[i]), inverse)
+            cls = sorted(set(_find(G, orbit).tolist()))
+            classes.append(cls)
+            seen.update(cls)
+    return classes
+
+
+def molien_series(G: np.ndarray, J: int) -> np.ndarray:
+    """Invariants of G in each symmetric power of C^2, 0 <= j <= J:
+    n_j = (1/|G|) sum_g U_j(tr g / 2), since the (j + 1)-dimensional
+    irreducible representation of SU(2) has character U_j(cos theta) =
+    sin((j + 1) theta) / sin theta.  The half trace of a unit
+    quaternion is its real part; U_(j+1)(x) = 2 x U_j(x) - U_(j-1)(x)."""
+    x = G[:, 0]
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    raw = np.empty(J + 1)
+    for j in range(J + 1):
+        raw[j] = cur.sum() / len(G)
+        prev, cur = cur, 2 * x * cur - prev
+    n = np.rint(raw).astype(np.int64)
+    assert np.abs(raw - n).max() < 1e-6
+    return n
 
 
 # ---------------------------------------------------------------------------

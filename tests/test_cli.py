@@ -163,13 +163,18 @@ def test_catalog_machine_golden_bytes(command):
 # more checks: the nimrep axioms and the coefficients[g] match (see
 # build_nimrep_su2 and kostant_suite), and t-unitary and s-row0 in
 # modular and phase-aligned in chiral, which only rounding could move.
+# The kostant digest changed again when unique-pair went (find_rs reads
+# the one pair that can certify off the star series) and its report was
+# retitled "Kostant pair", and the modular
+# digest when conjugation-involution went (conjugation-match and an
+# involutive F.conj prove C^2 = 1).
 VERIFIER_MACHINE_SHA256 = {
     ("modular --level 16", None):
-        "3c745719f6857c0b066058dbff01db468c77776d9996493e90c06d9bbdd63309",
+        "7a8a1f264a6c4dff200dd162658cbd7b3493b06358d534a71613185fc453704f",
     ("nimrep --graph E7 --level 16", None):
         "e0acf7f826a8f166098ed34856c79374c96bcca6942911e725b29bbaa1c61b6b",
     ("kostant --graph E8", None):
-        "8ea45348e9f98633f0eb352a1d316424e1a6c6b8694ffa62e7c8658b2bdb93ee",
+        "fe58b4d73d6f50a01ffa53d95f3e480f5bba9385e2f0213c278c480df4fe437a",
     ("chiral --level 16 --invariant", "height-18"):
         "c19f7572f86dfff976dc83e036347154c31f824eacec3cc5fa14713979f07a6b",
     ("chiral --level 16 --invariant", "pair-blocks"):
@@ -231,6 +236,13 @@ def test_nimrep_wrong_level_fails():
     assert "matching level is 16" in p.stdout + p.stderr
 
 
+def test_nimrep_without_against_needs_no_fusion_ring(capsys):
+    # A1 builds at level 0, where su(2) has no fusion ring; only
+    # --against reads one
+    assert main(["nimrep", "--graph", "A1", "--level", "0"]) == 0
+    assert capsys.readouterr().out.startswith("G_0 =")
+
+
 def test_kostant_output():
     p = run("kostant", "--graph", "E8")
     assert p.returncode == 0
@@ -264,6 +276,23 @@ def test_degenerate_subcommand(tmp_path, su2):
              "--theta", "0,3")
     assert p2.returncode == 1
     assert "not Y-closed" in p2.stderr
+
+
+def test_enum_refuses_a_degenerate_system(tmp_path, capsys):
+    # Z_2 with trivial twists is transparent in Z_2 x Z_3, so no
+    # catalogue is printed
+    from fractions import Fraction
+    from modkit.catalog import gen_cyclic, cyclic_quadratic_twists
+    from modkit.chiral_analysis import product_system
+    f23 = product_system(gen_cyclic(2, [Fraction(0), Fraction(0)]),
+                         gen_cyclic(3, cyclic_quadratic_twists(3, 3)))
+    sysfile = tmp_path / "sys.json"
+    save_fusion_system(f23, str(sysfile))
+    assert main(["enum", "--system", str(sysfile)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: system is not modular: labels (1,0) are "
+                       "degenerate besides the vacuum\n")
 
 
 @pytest.mark.parametrize("gamma", ["0,99", "0,-1"])

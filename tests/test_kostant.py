@@ -20,8 +20,10 @@ from modkit.kostant import (
 )
 from modkit.nimrep import build_nimrep_su2
 
-from oracles import (affine_series, cyclic_restriction_counts,
-                     expand_rational_series, window_polynomials)
+from oracles import (affine_series, binary_polyhedral_group,
+                     conjugacy_classes, cyclic_restriction_counts,
+                     expand_rational_series, molien_series,
+                     window_polynomials)
 
 ALL_NAMES = tuple(f"A{i}" for i in range(1, 9)) + \
     tuple(f"D{i}" for i in range(4, 9)) + ("E6", "E7", "E8")
@@ -111,6 +113,27 @@ def test_construction_identities(name):
     assert np.array_equal(got, omega)
 
 
+@pytest.mark.parametrize("name", tuple(f"A{l}" for l in range(1, 9))
+                         + tuple(f"D{l}" for l in range(4, 12))
+                         + ("E6", "E7", "E8"))
+def test_series_from_binary_polyhedral_group(name):
+    # the group G behind each graph, built by quaternion closure: its
+    # order, its class count (the affine vertices), the marks as the
+    # irreducible dimensions, its Molien series as the star column, and
+    # Kostant's r s = 2|G| with r the first degree carrying an invariant
+    G = binary_polyhedral_group(name)
+    g = affine_ade(name)
+    assert len(G) == graph_meta(name).group_order
+    assert len(conjugacy_classes(G)) == g.n_vertices
+    assert int(np.sum(mckay_marks(g) ** 2)) == len(G)
+    suite = kostant_suite(name)
+    molien = molien_series(G, suite.series.J)
+    assert np.array_equal(suite.series.n[:, g.star], molien)
+    r, s = suite.rs
+    assert r == 1 + np.flatnonzero(molien[1:])[0]
+    assert r * s == 2 * len(G)
+
+
 def test_ordinary_graph_rejected():
     with pytest.raises(ValueError):
         mckay_series(ade_graph("E6"), 10)
@@ -192,10 +215,10 @@ def test_find_rs_fails_off_coxeter():
 def test_every_suite_check_is_asserted_and_ok(name):
     suite = kostant_suite(name)
     checks = suite.rs_report.checks
-    assert [c.name for c in checks] == ["unique-pair", "rs-vs-group-order"]
+    assert [c.name for c in checks] == ["rs-vs-group-order"]
     assert all(c.ok for c in checks), [c.line() for c in checks]
     r, s = suite.rs
-    assert checks[1].detail == \
+    assert checks[0].detail == \
         f"r*s = {r * s}, 2|G| = {2 * graph_meta(name).group_order}"
 
 
@@ -226,13 +249,16 @@ def test_format_poly():
 def test_certificate_matches_window_oracle():
     # two zero rows at degrees h + 1 and h + 2 certify exactly the pairs
     # whose product vanishes on the whole window (h, J], with the same
-    # polynomials, on all 4,740 pairs r <= s, r + s <= h + 2
-    pairs = certified = 0
+    # polynomials, on all 4,740 pairs r <= s, r + s <= h + 2; on each
+    # graph exactly one pair certifies, the one find_rs reads off the
+    # star series (its docstring proves no other can)
+    pairs = 0
     for name in ADE_NAMES:
         g = affine_ade(name)
         h = graph_meta(name).coxeter
         series = mckay_series(g, 3 * h + 4)
         n = affine_series(g.adjacency, g.star, 3 * h + 4)
+        certified = []
         for r in range(1, h + 2):
             for s in range(r, h + 3 - r):
                 want = window_polynomials(n, g.star, r, s)
@@ -243,9 +269,11 @@ def test_certificate_matches_window_oracle():
                 assert (got is None) == (want is None), (name, r, s)
                 if got is not None:
                     assert np.array_equal(got, want), (name, r, s)
-                    certified += 1
+                    certified.append((r, s))
                 pairs += 1
-    assert (pairs, certified) == (4740, len(ADE_NAMES))
+        rs, _, _ = find_rs(series, h, graph_meta(name).group_order)
+        assert certified == [rs], name
+    assert pairs == 4740
 
 
 def test_truncation_floor_is_h_plus_two():
@@ -326,8 +354,8 @@ def test_suite_memory_under_one_and_a_half_tables(name):
 
 
 def test_suite_certifies_each_pair_once(monkeypatch):
-    # find_rs certifies every pair with r + s = h + 2; nothing after it
-    # certifies the winning pair again
+    # find_rs certifies only the pair the star series names; nothing
+    # after it certifies that pair again
     calls = []
     inner = kostant.kostant_poly
 
@@ -335,9 +363,8 @@ def test_suite_certifies_each_pair_once(monkeypatch):
         calls.append((r, s))
         return inner(series, r, s)
     monkeypatch.setattr(kostant, "kostant_poly", counted)
-    h = graph_meta("E7").coxeter
     assert kostant.kostant_suite("E7").ok
-    assert sorted(calls) == [(r, h + 2 - r) for r in range(1, h // 2 + 2)]
+    assert calls == [(8, 12)]
 
 
 def test_suite_ok_flag():
