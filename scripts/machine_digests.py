@@ -59,10 +59,10 @@ COMMANDS = [
     *_both("enum --system {tmp}/z5.json"),
     "enum --system {tmp}/z3_bad.json --format text",
     "enum --level 28 --budget 5 --format machine",
-    *_both("nimrep --graph E7 --level 16"),
-    *_both("nimrep --graph D10 --level 16 --against {tmp}/cat16.json"),
-    *_both("nimrep --graph E6 --level 10"),
-    "nimrep --graph D4 --level 3 --format text",
+    *_both("nimrep --graph E7"),
+    *_both("nimrep --graph D10 --against {tmp}/cat16.json"),
+    *_both("nimrep --graph E6"),
+    "nimrep --graph D4 --format text",
     *[f"kostant --graph {g} --format machine"
       for g in ("A1", "A2", "A3", "A5", "A8", "D4", "D5", "D8", "E6", "E7")],
     *_both("kostant --graph E8"),
@@ -80,15 +80,14 @@ COMMANDS = [
     "chiral --level 16 --invariant {tmp}/negative.json --format text",
     "chiral --level 16 --invariant {tmp}/vacuum0.json --format text",
     "chiral --level 16 --invariant {tmp}/off_cells.json --format text",
-    *_both(f"degenerate --level 16 --gamma {GAMMA16} --theta 0 "
+    *_both(f"degenerate --level 16 --gamma {GAMMA16} "
            "--out {tmp}/deg16.json"),
-    *_both(f"degenerate --system {{tmp}}/z2z3.json --gamma '{Z2Z3_ALL}' "
-           "--theta '(0,0);(1,0)'"),
-    *_both("degenerate --system {tmp}/z2.json --gamma 0,1 --theta 0,1"),
-    "degenerate --level 16 --gamma 0,1 --theta 0 --format text",
-    "degenerate --level 16 --gamma 0,40 --theta 0 --format text",
+    *_both(f"degenerate --system {{tmp}}/z2z3.json --gamma '{Z2Z3_ALL}'"),
+    *_both("degenerate --system {tmp}/z2.json --gamma 0,1"),
+    "degenerate --level 16 --gamma 0,1 --format text",
+    "degenerate --level 16 --gamma 0,40 --format text",
     *_both("ising --m 4 --n 6 --beta 0.4"),
-    *_both("ising --m 3 --n 2 --beta 1.0 --coupling -0.5"),
+    *_both("ising --m 3 --n 2 --beta -0.5"),
     "ising --m 5 --n 5 --beta 0.4 --format text",
     "ising --m 1 --n 1 --beta 1e308 --format machine",
     "ising --m 1 --n 1 --beta nan --format machine",

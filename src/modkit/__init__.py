@@ -14,8 +14,7 @@ from .catalog import (ade_graph, affine_ade, cyclic_quadratic_twists,
                       gen_cyclic, gen_su2, graph_meta, mckay_marks)
 from .chiral_analysis import (GlobalIndices, YClosureError,
                               coupling_reports, degenerate_invariant,
-                              global_indices, product_system,
-                              verify_extension)
+                              global_indices, product_system)
 from .fusion_core import (DegenerateFusionError, FusionSystem,
                           is_permutation_matrix, make_fusion_system)
 from .invariant_enum import (BudgetExceededError, EnumerationError,
@@ -40,7 +39,6 @@ __all__ = [
     "gen_su2", "graph_meta", "mckay_marks",
     "GlobalIndices", "YClosureError", "coupling_reports",
     "degenerate_invariant", "global_indices", "product_system",
-    "verify_extension",
     "DegenerateFusionError", "FusionSystem",
     "is_permutation_matrix", "make_fusion_system",
     "BudgetExceededError", "EnumerationError", "EnumerationResult",

@@ -320,14 +320,14 @@ def _c8(ctx: Context):
     want_product = np.kron(np.ones((2, 2), dtype=np.int64),
                            np.eye(3, dtype=np.int64))
     cases = [
-        ("trivial", f16, list(range(17)), [0], np.eye(17, dtype=np.int64)),
-        ("all-ones", f2, [0, 1], [0, 1], np.ones((2, 2), dtype=np.int64)),
-        ("product", f23, list(range(6)), [0, 3], want_product),
+        ("trivial", f16, list(range(17)), np.eye(17, dtype=np.int64)),
+        ("all-ones", f2, [0, 1], np.ones((2, 2), dtype=np.int64)),
+        ("product", f23, list(range(6)), want_product),
     ]
     built = []
     ok = True
-    for name, F, gamma, theta, want in cases:
-        Z = degenerate_invariant(F, gamma, theta)
+    for name, F, gamma, want in cases:
+        Z = degenerate_invariant(F, gamma)
         built.append(name)
         ok &= np.array_equal(Z, want)
         Y = build_Y(F)

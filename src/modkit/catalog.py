@@ -50,9 +50,12 @@ class Graph:
 
     name: str
     adjacency: np.ndarray
-    affine: bool
     star: int | None
     iota: int
+
+    @property
+    def affine(self) -> bool:
+        return self.star is not None
 
     @property
     def n_vertices(self) -> int:
@@ -110,7 +113,7 @@ def ade_graph(name: str) -> Graph:
     for i, j in edges:
         adj[i, j] = adj[j, i] = 1
     adj.setflags(write=False)
-    return Graph(name=f"{family}{ell}", adjacency=adj, affine=False, star=None, iota=iota)
+    return Graph(name=f"{family}{ell}", adjacency=adj, star=None, iota=iota)
 
 
 def affine_ade(name: str) -> Graph:
@@ -137,7 +140,7 @@ def affine_ade(name: str) -> Graph:
     else:
         adj[ordinary.iota, star] = adj[star, ordinary.iota] = 1
     adj.setflags(write=False)
-    return Graph(name=f"{family}{ell}^", adjacency=adj, affine=True, star=star,
+    return Graph(name=f"{family}{ell}^", adjacency=adj, star=star,
                  iota=ordinary.iota)
 
 
@@ -169,10 +172,13 @@ def mckay_marks(graph: Graph) -> np.ndarray:
     scaled and rounded, must be positive with A m = 2 m = A^T m exactly
     (a user-built graph may be asymmetric); a positive eigenvector makes
     2 the Perron-Frobenius eigenvalue, so no float bound is needed."""
-    if not graph.affine or graph.star is None:
+    if not graph.affine:
         raise ValueError("marks are defined on affine graphs")
-    vecs = np.linalg.eigh(graph.adjacency.astype(float))[1]
-    v = np.rint(vecs[:, -1] / vecs[graph.star, -1])
+    top = np.linalg.eigh(graph.adjacency.astype(float))[1][:, -1]
+    if top[graph.star] == 0:
+        raise ValueError("the top eigenvector vanishes at the extension "
+                         "vertex")
+    v = np.rint(top / top[graph.star])
     if not (v > 0).all():
         raise ValueError("marks are not positive integers")
     marks = v.astype(np.int64)

@@ -12,7 +12,8 @@ and the counting consequence of the induced full system
 
 The degenerate-subsystem construction builds a coupling matrix from a
 fusion- and conjugation-closed label subset Gamma whose degenerate part
-Theta is purely bosonic with integer dimensions:
+Theta, the degenerate sectors inside Gamma, is purely bosonic with
+integer dimensions:
 
     Z[l, m] = sum_{th in Theta} N[l, th, m] * d_th   (l, m in Gamma)
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from .fusion_core import FusionSystem, check_fusion_size, make_fusion_system
 from .invariant_enum import on_free_cells
-from .modular_data import (DEGENERATE_TOL, ModularData, build_Y,
-                           degenerate_sectors)
+from .modular_data import DEGENERATE_TOL, build_Y, degenerate_sectors
 from .reports import Check, Report
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "YClosureError",
     "degenerate_invariant",
     "product_system",
-    "verify_extension",
 ]
 
 
@@ -135,22 +134,24 @@ def coupling_reports(F: FusionSystem,
     return commutant, norms, counting
 
 
-def degenerate_invariant(F: FusionSystem, gamma, theta) -> np.ndarray:
+def degenerate_invariant(F: FusionSystem, gamma) -> np.ndarray:
     """Coupling matrix of the subsystem spanned by Gamma.
 
     Builds Z[lam, mu] = sum_theta N[lam, theta, mu] * d_theta on Gamma x
-    Gamma (multiplicity of mu in lam x theta), zero outside Gamma.  The
-    same matrix equals the normalized pairing
+    Gamma (multiplicity of mu in lam x theta), zero outside Gamma, with
+    Theta the degenerate sectors inside Gamma.  The same matrix equals
+    the normalized pairing
     sum_{g in Gamma} conj(Y[lam, g]) Y[mu, g] / w_Gamma, which is checked.
+    As N[0, theta, mu] = delta(theta, mu), row 0 is d_mu on Theta and
+    zero elsewhere, so Z names its own Theta.
 
     Preconditions: Gamma contains the vacuum and is closed under fusion
-    and conjugation; Theta equals the degenerate sectors inside Gamma;
-    every member of Theta is bosonic (twist exactly 0) with integer
-    dimension.  Raises YClosureError when a row outside Gamma fails the
-    closure assumption sum_{g in Gamma} conj(Y[lam, g]) Y[0, g] = 0.
+    and conjugation; every degenerate label in Gamma is bosonic (twist
+    exactly 0) with integer dimension.  Raises YClosureError when a row
+    outside Gamma fails the closure assumption
+    sum_{g in Gamma} conj(Y[lam, g]) Y[0, g] = 0.
     """
     gamma = sorted(set(int(g) for g in gamma))
-    theta = sorted(set(int(t) for t in theta))
     gset = set(gamma)
     if 0 not in gset:
         raise ValueError("Gamma must contain the vacuum label 0")
@@ -162,20 +163,16 @@ def degenerate_invariant(F: FusionSystem, gamma, theta) -> np.ndarray:
             if not set(hit.tolist()) <= gset:
                 raise ValueError(f"Gamma not closed under fusion at ({a}, {b})")
     Y = build_Y(F)
-    deg = degenerate_sectors(F, Y=Y)
-    if theta != sorted(set(deg) & gset):
-        raise ValueError("Theta must be the degenerate sectors inside Gamma; "
-                         f"expected {sorted(set(deg) & gset)}, got {theta}")
-    for th in theta:
-        if F.twists[th] != 0:
-            raise ValueError(f"Theta member {th} is not bosonic "
-                             f"(twist {F.twists[th]})")
+    theta = [th for th in degenerate_sectors(F, Y=Y) if th in gset]
     d_int = {}
     for th in theta:
+        if F.twists[th] != 0:
+            raise ValueError(f"degenerate label {th} in Gamma is not bosonic "
+                             f"(twist {F.twists[th]})")
         r = round(float(F.d[th]))
         if abs(F.d[th] - r) > 1e-9:
-            raise ValueError(f"Theta member {th} has non-integer dimension "
-                             f"{F.d[th]!r}")
+            raise ValueError(f"degenerate label {th} in Gamma has "
+                             f"non-integer dimension {F.d[th]!r}")
         d_int[th] = r
 
     n = F.n
@@ -223,39 +220,3 @@ def product_system(F1: FusionSystem, F2: FusionSystem) -> FusionSystem:
             for a1 in range(n1) for a2 in range(n2)]
     twists = [t1 + t2 for t1 in F1.twists for t2 in F2.twists]
     return make_fusion_system(labels, N, conj, twists)
-
-
-def verify_extension(md: ModularData, S_ext: np.ndarray, T_ext: np.ndarray,
-                     b_plus: np.ndarray, b_minus: np.ndarray,
-                     Z: np.ndarray | None = None) -> Report:
-    """Intertwining checks for user-supplied extension data, to 1e-8.
-
-    b_plus and b_minus are branching matrices with one row per extended
-    sector and one column per label; they must intertwine the extended
-    (S, T) with the base (S, T), and conj(b+)^T b- is the coupling
-    matrix they induce.
-    """
-    S, T = md.S, md.T
-    bp = np.asarray(b_plus)
-    bm = np.asarray(b_minus)
-    checks = [
-        Check("branching-integer",
-              np.all(bp >= 0) and np.all(bm >= 0)
-              and np.issubdtype(bp.dtype, np.integer)
-              and np.issubdtype(bm.dtype, np.integer),
-              "b+ and b- are non-negative integer matrices"),
-    ]
-    for name, b in (("plus", bp), ("minus", bm)):
-        dev_s = float(np.max(np.abs(S_ext @ b - b @ S)))
-        dev_t = float(np.max(np.abs(T_ext @ b - b @ T)))
-        checks.append(Check(f"s-intertwine-{name}", dev_s <= 1e-8,
-                            f"max dev {dev_s:.3e}"))
-        checks.append(Check(f"t-intertwine-{name}", dev_t <= 1e-8,
-                            f"max dev {dev_t:.3e}"))
-    Zc = np.conj(bp).T @ bm
-    if Z is not None:
-        match = np.max(np.abs(Zc - np.asarray(Z))) <= 1e-8
-        checks.append(Check("coupling-product", match,
-                            "conj(b+)^T b- reproduces Z"))
-    return Report(title=f"extension data ({bp.shape[0]} extended sectors)",
-                  checks=tuple(checks))

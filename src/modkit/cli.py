@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: catalog, modular, enum, nimrep, kostant, chiral,
-degenerate, ising, verify-all.  Exit status 0 on success, 1 when a
-check fails, 2 on usage errors.  Output is deterministic: identical
-inputs and flags produce byte-identical bytes (files contain no
-timestamps and all floats are formatted by fixed rules).
+degenerate, ising, verify-all.  Options carry only what a command
+cannot work out itself: nimrep builds at its graph's level h - 2,
+degenerate takes as Theta the degenerate labels inside Gamma, and
+ising reads --beta as beta J with J = 1.  Exit status 0 on success, 1
+when a check fails, 2 on usage errors.  Output is deterministic:
+identical inputs and flags produce byte-identical bytes (files contain
+no timestamps and all floats are formatted by fixed rules).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .ising import BOND_CONVENTION, ising_partition
 from .kostant import format_poly, kostant_suite
 from .modular_data import (DEGENERATE_TOL, modular_data, verify_modular,
                            verlinde_check)
-from .nimrep import NimrepBuildError, build_nimrep_su2, spectrum_check
+from .nimrep import build_nimrep_su2, spectrum_check
 from .reports import Report
 
 __all__ = ["main"]
@@ -145,22 +148,16 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_nimrep(args) -> int:
+    level = graph_meta(args.graph).level
     g = ade_graph(args.graph)
-    try:
-        nim = build_nimrep_su2(g, args.level)
-    except NimrepBuildError as exc:
-        meta = graph_meta(args.graph)
-        print(f"build failed: {exc} (graph Coxeter number {meta.coxeter}, "
-              f"so the matching level is {meta.coxeter - 2})",
-              file=sys.stderr)
-        return 1
+    nim = build_nimrep_su2(g, level)
     reports = []
     lines = []
     for j, G in enumerate(nim.G):
         lines.append(f"G_{j} =")
         lines += _matrix_lines(G)
     if args.against:
-        F = gen_su2(args.level)
+        F = gen_su2(level)
         obj = load_invariant_catalog(args.against, n=F.n)
         Zs = (np.array(rec["Z"], dtype=np.int64) for rec in obj["invariants"])
         match = [Z for Z in Zs if np.trace(Z) == g.n_vertices]
@@ -170,7 +167,7 @@ def _cmd_nimrep(args) -> int:
             return 1
         md = modular_data(F)
         reports.append(spectrum_check(nim, match[0], md))
-    machine = {"graph": args.graph, "level": args.level,
+    machine = {"graph": args.graph, "level": level,
                "generators": [G.tolist() for G in nim.G]}
     return _finish(args, lines, machine, reports)
 
@@ -225,11 +222,11 @@ def _parse_labels(F, raw: str) -> list[int]:
 def _cmd_degenerate(args) -> int:
     F, sys_id = _resolve_system(args)
     gamma = _parse_labels(F, args.gamma)
-    theta = _parse_labels(F, args.theta)
-    Z = degenerate_invariant(F, gamma, theta)
+    Z = degenerate_invariant(F, gamma)
+    # Z[0, mu] = sum_theta N[0, theta, mu] d_theta is d_mu on Theta, else 0
     header = {"system": sys_id,
               "gamma": [F.labels[i] for i in gamma],
-              "theta": [F.labels[i] for i in theta],
+              "theta": [F.labels[i] for i in np.flatnonzero(Z[0])],
               "tolerance": DEGENERATE_TOL,
               "tool_version": __version__,
               "count": 1}
@@ -244,8 +241,7 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_ising(args) -> int:
-    z_brute, z_trace = ising_partition(args.m, args.n, args.beta,
-                                       args.coupling)
+    z_brute, z_trace = ising_partition(args.m, args.n, args.beta)
     rel = abs(z_brute - z_trace) / max(abs(z_brute), 1e-300)
     ok = rel < 1e-12
     lines = [f"Z (configuration sum) = {z_brute!r}",
@@ -253,8 +249,7 @@ def _cmd_ising(args) -> int:
              f"relative difference   = {rel:.3e} "
              f"({'ok' if ok else 'MISMATCH'})"]
     machine = {"m": args.m, "n": args.n, "beta": args.beta,
-               "coupling": args.coupling, "z_brute": z_brute,
-               "z_trace": z_trace, "ok": ok}
+               "z_brute": z_brute, "z_trace": z_trace, "ok": ok}
     _emit(args, lines, machine)
     return 0 if ok else 1
 
@@ -306,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("nimrep", _cmd_nimrep,
             help="graph generators and their spectra")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--graph", required=True,
+                   help="ordinary ADE graph; the level is its Coxeter "
+                        "number minus 2")
     p.add_argument("--against",
                    help="invariant-catalog file; the record whose trace "
                         "equals the vertex count is checked spectrally")
@@ -330,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int)
     p.add_argument("--gamma", required=True,
                    help="comma-separated closed label set")
-    p.add_argument("--theta", required=True,
-                   help="comma-separated bosonic degenerate labels")
     p.add_argument("--out", help="write a one-record catalog file here")
 
     p = add("ising", _cmd_ising,
@@ -339,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "trace. " + BOND_CONVENTION)
     p.add_argument("--m", type=int, required=True, help="strip width M")
     p.add_argument("--n", type=int, required=True, help="torus length N")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--beta", type=float, required=True,
+                   help="beta J with J = 1; negative for an "
+                        "antiferromagnet")
 
     add("verify-all", _cmd_verify_all,
         help="run every acceptance criterion, one PASS/FAIL line each")

@@ -46,7 +46,10 @@ def _write(path: str, obj: dict) -> None:
 
 def _read(path: str, expected_format: str) -> dict:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON file ({exc})") from None
     got = obj.get("format") if isinstance(obj, dict) else type(obj).__name__
     if got != expected_format:
         raise ValueError(f"{path}: expected format {expected_format!r}, "

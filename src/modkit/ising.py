@@ -1,5 +1,9 @@
 """Ising model on the M x N torus: configuration sum against transfer trace.
 
+Only the product beta J enters the partition function, so the model
+takes that one number, bJ (beta with J = 1); a negative bJ is an
+antiferromagnet.
+
 The partition function is evaluated twice, once as the sum over all
 2^(M*N) spin configurations and once as trace(T^N) for the row-to-row
 transfer matrix, so each evaluation checks the other.  The brute-force
@@ -33,22 +37,23 @@ BOND_CONVENTION = (
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ising_partition(M: int, N: int, beta: float,
-                    coupling: float = 1.0) -> tuple[float, float]:
+def ising_partition(M: int, N: int, beta: float) -> tuple[float, float]:
     """Partition function of the Ising model on the M x N torus, twice.
 
     Returns (Z_brute, Z_trace): the configuration sum over all 2^(M*N)
     spin assignments, and trace(T^N) for the 2^M x 2^M row-to-row
-    transfer matrix.  Energy is -coupling * sum over bonds of s s'; see
-    BOND_CONVENTION for the exact bond multiset.  Raises ValueError when
-    either evaluation is not finite (an overflowing or NaN beta * coupling).
+    transfer matrix.  Energy is -J * sum over bonds of s s' and only
+    beta J enters Z, so beta is beta J with J = 1: a negative beta is
+    an antiferromagnet.  See BOND_CONVENTION for the exact bond
+    multiset.  Raises ValueError when either evaluation is not finite
+    (an overflowing or NaN beta).
     """
     if M < 1 or N < 1:
         raise ValueError("M and N must be >= 1")
     if M * N > ISING_GUARD:
         raise ValueError(f"M*N = {M * N} exceeds the brute-force guard "
                          f"of {ISING_GUARD}")
-    bJ = float(beta) * float(coupling)
+    bJ = float(beta)
     sites = M * N
 
     # bonds = 2MN - 2u for u unlike neighbour pairs, 0 <= u <= 2MN

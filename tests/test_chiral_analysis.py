@@ -11,7 +11,6 @@ from modkit.chiral_analysis import (
     degenerate_invariant,
     global_indices,
     product_system,
-    verify_extension,
 )
 from modkit.modular_data import build_Y, degenerate_sectors
 
@@ -142,20 +141,20 @@ def test_degenerate_sectors():
 
 def test_degenerate_invariant_all_ones():
     F = gen_cyclic(2, [Fraction(0), Fraction(0)])
-    Z = degenerate_invariant(F, [0, 1], [0, 1])
+    Z = degenerate_invariant(F, [0, 1])
     assert np.array_equal(Z, np.ones((2, 2), dtype=np.int64))
     Y = build_Y(F)
     assert np.max(np.abs(Y @ Z - Z @ Y)) < 1e-12
 
 
 def test_degenerate_invariant_trivial_theta(su2):
-    Z = degenerate_invariant(su2(16), list(range(17)), [0])
+    Z = degenerate_invariant(su2(16), list(range(17)))
     assert np.array_equal(Z, np.eye(17, dtype=np.int64))
 
 
 def test_degenerate_invariant_product_blocks():
     F = _product_z2_z3()
-    Z = degenerate_invariant(F, list(range(6)), [0, 3])
+    Z = degenerate_invariant(F, list(range(6)))
     want = np.kron(np.ones((2, 2), dtype=np.int64),
                    np.eye(3, dtype=np.int64))
     assert np.array_equal(Z, want)
@@ -171,24 +170,23 @@ def test_degenerate_invariant_closure_violations():
     # the bare two-element subsystem pairs non-trivially with outside rows
     F = _product_z2_z3()
     with pytest.raises(YClosureError):
-        degenerate_invariant(F, [0, 3], [0, 3])
+        degenerate_invariant(F, [0, 3])
     # top label of the level-16 ring: closed under fusion, not under Y
     F16 = gen_su2(16)
     with pytest.raises(YClosureError):
-        degenerate_invariant(F16, [0, 16], [0])
+        degenerate_invariant(F16, [0, 16])
 
 
 def test_degenerate_invariant_preconditions(su2):
     F16 = su2(16)
     with pytest.raises(ValueError):
-        degenerate_invariant(F16, [1, 2], [0])  # no vacuum
+        degenerate_invariant(F16, [1, 2])  # no vacuum
     with pytest.raises(ValueError):
-        degenerate_invariant(F16, [0, 1], [0])  # not fusion closed
-    with pytest.raises(ValueError):
-        degenerate_invariant(F16, list(range(17)), [0, 16])  # wrong Theta
+        degenerate_invariant(F16, [0, 1])  # not fusion closed
     fermionic = gen_cyclic(2, [Fraction(0), Fraction(1, 2)])
-    with pytest.raises(ValueError):
-        degenerate_invariant(fermionic, [0, 1], [0, 1])  # non-bosonic
+    with pytest.raises(ValueError, match="degenerate label 1 in Gamma is "
+                       "not bosonic"):
+        degenerate_invariant(fermionic, [0, 1])
 
 
 def test_product_system_structure():
@@ -202,36 +200,3 @@ def test_product_system_structure():
     want[0] = 1
     assert np.array_equal(F.N[4, 5], want)
     assert np.all(F.d == 1.0)
-
-
-def test_extension_verifier_identity(md):
-    m = md(16)
-    eye = np.eye(17, dtype=np.int64)
-    rep = verify_extension(m, m.S, m.T, eye, eye, Z=eye)
-    assert rep.ok
-
-
-def test_extension_verifier_permutation(md):
-    # b+ = identity, b- = the conjugating permutation at level 6
-    m = md(6)
-    P = coupling_forms(6)["conjugating-permutation"]
-    eye = np.eye(7, dtype=np.int64)
-    rep = verify_extension(m, m.S, m.T, eye, P, Z=P)
-    assert rep.ok, str(rep)
-
-
-def test_extension_verifier_rejects_wrong_coupling(md):
-    m = md(16)
-    eye = np.eye(17, dtype=np.int64)
-    rep = verify_extension(m, m.S, m.T, eye, eye,
-                           Z=coupling_forms(16)["pair-blocks"])
-    assert not rep.ok
-    failing = {c.name for c in rep.checks if not c.ok}
-    assert failing == {"coupling-product"}
-
-
-def test_extension_verifier_rejects_non_integer(md):
-    m = md(16)
-    b = np.eye(17) * 0.5
-    rep = verify_extension(m, m.S, m.T, b, b)
-    assert not any(c.ok for c in rep.checks if c.name == "branching-integer")

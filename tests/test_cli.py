@@ -167,11 +167,14 @@ def test_catalog_machine_golden_bytes(command):
 # the one pair that can certify off the star series) and its report was
 # retitled "Kostant pair", and the modular
 # digest when conjugation-involution went (conjugation-match and an
-# involutive F.conj prove C^2 = 1).
+# involutive F.conj prove C^2 = 1).  The ising digest changed when the
+# coupling option went: only beta J enters Z, so the output lost its
+# "coupling" key.  The nimrep and degenerate digests kept their values
+# when --level and --theta went, since the command works both out.
 VERIFIER_MACHINE_SHA256 = {
     ("modular --level 16", None):
         "7a8a1f264a6c4dff200dd162658cbd7b3493b06358d534a71613185fc453704f",
-    ("nimrep --graph E7 --level 16", None):
+    ("nimrep --graph E7", None):
         "e0acf7f826a8f166098ed34856c79374c96bcca6942911e725b29bbaa1c61b6b",
     ("kostant --graph E8", None):
         "fe58b4d73d6f50a01ffa53d95f3e480f5bba9385e2f0213c278c480df4fe437a",
@@ -179,11 +182,11 @@ VERIFIER_MACHINE_SHA256 = {
         "c19f7572f86dfff976dc83e036347154c31f824eacec3cc5fa14713979f07a6b",
     ("chiral --level 16 --invariant", "pair-blocks"):
         "b2338fdb888e0ce76cd7eab5a69a152e1085e672c77fc0c548dfba4e717de236",
-    ("degenerate --level 16 --theta 0 --gamma "
+    ("degenerate --level 16 --gamma "
      + ",".join(str(i) for i in range(17)), None):
         "078c44923f20b74b555c34bddb3ca170b0c37115088528e14b9628005a1e8cb6",
     ("ising --m 4 --n 6 --beta 0.4", None):
-        "6dc982d2fbfa9355d3633a064ac625b647a01211c46d74210f0ff8ed6561ee6c",
+        "f12ebddb5855c2f6b08e292999a5464b8f43155fb5727879e70f72dc3d5665ac",
     ("verify-all", None):
         "25562ed6fe0acee503ee9fc4992ecb11db05423475782a6d97c6781ec8ab6a70",
 }
@@ -217,30 +220,34 @@ def test_check_verdict_is_python_bool():
 def test_nimrep_build_and_against(tmp_path):
     cat = tmp_path / "cat.json"
     run("enum", "--system", "su2", "--level", "16", "--out", str(cat))
-    p = run("nimrep", "--graph", "E7", "--level", "16", "--against",
-            str(cat))
+    p = run("nimrep", "--graph", "E7", "--against", str(cat))
     assert p.returncode == 0
     assert "G_1" in p.stdout
     assert "[FAIL]" not in p.stdout
 
 
 def test_nimrep_machine_output_is_json():
-    p = run("nimrep", "--graph", "E7", "--level", "16", "--format", "machine")
+    p = run("nimrep", "--graph", "E7", "--format", "machine")
     assert p.returncode == 0, p.stderr
     json.loads(p.stdout)
 
 
-def test_nimrep_wrong_level_fails():
-    p = run("nimrep", "--graph", "E7", "--level", "17")
-    assert p.returncode == 1
-    assert "matching level is 16" in p.stdout + p.stderr
+@pytest.mark.parametrize("graph, coxeter", [
+    ("A1", 2), ("D4", 6), ("E6", 12), ("E7", 18), ("E8", 30)])
+def test_nimrep_builds_at_coxeter_number_minus_two(capsys, graph, coxeter):
+    assert main(["nimrep", "--graph", graph, "--format", "machine"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["level"] == coxeter - 2
+    assert len(obj["generators"]) == coxeter - 1
 
 
 def test_nimrep_without_against_needs_no_fusion_ring(capsys):
     # A1 builds at level 0, where su(2) has no fusion ring; only
     # --against reads one
-    assert main(["nimrep", "--graph", "A1", "--level", "0"]) == 0
+    assert main(["nimrep", "--graph", "A1"]) == 0
     assert capsys.readouterr().out.startswith("G_0 =")
+    assert main(["nimrep", "--graph", "A1", "--against", "unread.json"]) == 1
+    assert capsys.readouterr().err == "error: level must be >= 1\n"
 
 
 def test_kostant_output():
@@ -269,13 +276,37 @@ def test_degenerate_subcommand(tmp_path, su2):
     sysfile = tmp_path / "sys.json"
     save_fusion_system(f23, str(sysfile))
     p = run("degenerate", "--system", str(sysfile), "--gamma",
-            "0,1,2,3,4,5", "--theta", "0,3")
+            "0,1,2,3,4,5")
     assert p.returncode == 0
     # the literal two-element subsystem is rejected
-    p2 = run("degenerate", "--system", str(sysfile), "--gamma", "0,3",
-             "--theta", "0,3")
+    p2 = run("degenerate", "--system", str(sysfile), "--gamma", "0,3")
     assert p2.returncode == 1
     assert "not Y-closed" in p2.stderr
+
+
+@pytest.mark.parametrize("system", ["su2-16", "z2", "z2z3"])
+def test_degenerate_header_theta_is_degenerate_sectors_in_gamma(
+        tmp_path, capsys, system):
+    from fractions import Fraction
+    from modkit.catalog import cyclic_quadratic_twists, gen_cyclic, gen_su2
+    from modkit.chiral_analysis import product_system
+    from modkit.modular_data import degenerate_sectors
+    z2 = gen_cyclic(2, [Fraction(0), Fraction(0)])
+    if system == "su2-16":
+        F, args = gen_su2(16), ["--level", "16"]
+    else:
+        F = z2 if system == "z2" else product_system(
+            z2, gen_cyclic(3, cyclic_quadratic_twists(3, 3)))
+        save_fusion_system(F, str(tmp_path / "sys.json"))
+        args = ["--system", str(tmp_path / "sys.json")]
+    gamma = list(range(F.n))
+    assert main(["degenerate", *args, "--gamma",
+                 ",".join(map(str, gamma)), "--format", "machine"]) == 0
+    header = json.loads(capsys.readouterr().out)["header"]
+    want = [F.labels[i] for i in degenerate_sectors(F) if i in gamma]
+    assert header["theta"] == want
+    assert want == {"su2-16": ["0"], "z2": ["0", "1"],
+                    "z2z3": ["(0,0)", "(1,0)"]}[system]
 
 
 def test_enum_refuses_a_degenerate_system(tmp_path, capsys):
@@ -298,8 +329,7 @@ def test_enum_refuses_a_degenerate_system(tmp_path, capsys):
 @pytest.mark.parametrize("gamma", ["0,99", "0,-1"])
 def test_degenerate_rejects_labels_out_of_range(capsys, gamma):
     # 99 indexed past the end; -1 was read as the last label
-    assert main(["degenerate", "--level", "4", "--gamma", gamma,
-                 "--theta", "0"]) == 1
+    assert main(["degenerate", "--level", "4", "--gamma", gamma]) == 1
     assert capsys.readouterr().err.startswith("error: label ")
 
 
@@ -341,9 +371,9 @@ ISING_PAIRS_SHA256 = \
 
 
 def test_ising_pairs_bit_for_bit():
-    cases = [(M, N, beta, 1.0) for M in range(1, 17)
+    cases = [(M, N, beta) for M in range(1, 17)
              for N in range(1, 16 // M + 1) for beta in (0.0, 0.3, 1.0)]
-    cases += [(M, N, 0.4, -0.5) for M, N in ((4, 5), (3, 6), (2, 9), (17, 1))]
+    cases += [(M, N, -0.2) for M, N in ((4, 5), (3, 6), (2, 9), (17, 1))]
     text = "\n".join(repr(ising_partition(*case)) for case in cases)
     assert len(cases) == 154
     assert hashlib.sha256(text.encode()).hexdigest() == ISING_PAIRS_SHA256
@@ -376,15 +406,13 @@ PARSER_OPTIONS = {
     "modular": ["--format", "--level", "--out", "--system", "-h", "--help"],
     "enum": ["--budget", "--format", "--level", "--out", "--system", "-h",
              "--help"],
-    "nimrep": ["--against", "--format", "--graph", "--level", "-h",
-               "--help"],
+    "nimrep": ["--against", "--format", "--graph", "-h", "--help"],
     "kostant": ["--format", "--graph", "--truncation", "-h", "--help"],
     "chiral": ["--format", "--invariant", "--level", "--system", "-h",
                "--help"],
     "degenerate": ["--format", "--gamma", "--level", "--out", "--system",
-                   "--theta", "-h", "--help"],
-    "ising": ["--beta", "--coupling", "--format", "--m", "--n", "-h",
-              "--help"],
+                   "-h", "--help"],
+    "ising": ["--beta", "--format", "--m", "--n", "-h", "--help"],
     "verify-all": ["--format", "-h", "--help"],
 }
 
@@ -430,12 +458,6 @@ def test_ising_wide_strip_memory():
     assert zt == pytest.approx(want, rel=1e-12)
 
 
-def test_ising_coupling_parameter():
-    z1, _ = ising_partition(3, 3, 0.5, coupling=2.0)
-    z2, _ = ising_partition(3, 3, 1.0, coupling=1.0)
-    assert z1 == pytest.approx(z2, rel=1e-12)
-
-
 def test_ising_subcommand_and_guard():
     p = run("ising", "--m", "4", "--n", "4", "--beta", "0.3")
     assert p.returncode == 0
@@ -454,7 +476,7 @@ def test_verify_all_deterministic_machine():
 def test_usage_errors_exit_2():
     assert run("modular", "--system", "su2").returncode == 2
     assert run("bogus").returncode == 2
-    assert run("nimrep", "--graph", "E7").returncode == 2
+    assert run("nimrep").returncode == 2
 
 
 def test_missing_file_exits_1():
@@ -483,7 +505,7 @@ def test_nimrep_against_rejects_malformed_catalog(tmp_path, invariants,
     cat = tmp_path / "cat.json"
     cat.write_text(json.dumps({"format": "invariant-catalog", "version": 1,
                                "header": {}, "invariants": invariants}))
-    p = run("nimrep", "--graph", "A2", "--level", "1", "--against", str(cat))
+    p = run("nimrep", "--graph", "A2", "--against", str(cat))
     _assert_clean_error(p, message)
 
 

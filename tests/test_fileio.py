@@ -199,6 +199,19 @@ def test_non_object_file_rejected(tmp_path):
         load_fusion_system(str(p))
 
 
+@pytest.mark.parametrize("content", [b"", b"{", b"\xff\xfe"],
+                         ids=["empty", "truncated", "not-utf8"])
+def test_non_json_file_names_the_file(tmp_path, content):
+    # json.load's own message names neither the file nor the problem
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    for load in (load_fusion_system, load_coupling_matrix,
+                 load_invariant_catalog):
+        with pytest.raises(ValueError) as info:
+            load(str(p))
+        assert str(info.value).startswith(f"{p}: not a JSON file (")
+
+
 def test_dumps_canonical_is_deterministic():
     a = dumps_canonical({"b": [1, 2], "a": {"y": 0.5, "x": 3}})
     b = dumps_canonical({"a": {"x": 3, "y": 0.5}, "b": [1, 2]})

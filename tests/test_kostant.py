@@ -148,9 +148,21 @@ def test_non_mckay_graph_certified():
         # A m = 2 m with m = (1, 1, 1), but m^T A = (2, 3, 1)
         np.array([[0, 2, 0], [1, 0, 1], [1, 1, 0]]),
     ):
-        g = Graph(name="g", adjacency=adjacency, affine=True, star=0, iota=1)
+        g = Graph(name="g", adjacency=adjacency, star=0, iota=1)
         with pytest.raises(McKayGraphError, match="not a McKay graph"):
             mckay_series(g, 10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_isolated_star_is_refused_without_warnings():
+    # the top eigenvector of an A2^ cycle plus a lone star vanishes at
+    # the star; dividing by it warned before the error was raised
+    from modkit.catalog import Graph
+    adjacency = np.zeros((4, 4), dtype=np.int64)
+    adjacency[:3, :3] = 1 - np.eye(3, dtype=np.int64)
+    g = Graph(name="g", adjacency=adjacency, star=3, iota=0)
+    with pytest.raises(McKayGraphError, match="vanishes at the extension"):
+        mckay_series(g, 10)
 
 
 def test_certified_pairs():

@@ -76,8 +76,8 @@ def _generator_stacks():
 def test_asymmetric_adjacency_rejected():
     # A^2 = 2 on this graph, so U_2(A) = 1 and U_3(A) = A - A = 0: its
     # Chebyshev family closes at level 2, but G_1 = A is not G_1^T
-    g = Graph(name="g", adjacency=np.array([[0, 2], [1, 0]]), affine=False,
-              star=None, iota=0)
+    g = Graph(name="g", adjacency=np.array([[0, 2], [1, 0]]), star=None,
+              iota=0)
     with pytest.raises(ValueError, match="asymmetric adjacency"):
         build_nimrep_su2(g, 2)
 
