@@ -148,8 +148,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_nimrep(args) -> int:
-    level = graph_meta(args.graph).level
     g = ade_graph(args.graph)
+    level = graph_meta(args.graph).level
     nim = build_nimrep_su2(g, level)
     reports = []
     lines = []

@@ -218,11 +218,12 @@ def kostant_suite(name: str, J: int | None = None) -> KostantSuite:
     the coefficient of q^i in p_g is (c G_(i-1))[g] for 1 <= i <= h - 1,
     and 0 at degrees 0 and h.
     """
+    graph = affine_ade(name)
     meta = graph_meta(name)
     h = meta.coxeter
     if J is None:
         J = 3 * h + 4
-    series = mckay_series(affine_ade(name), J)
+    series = mckay_series(graph, J)
     (r, s), polys, rs_report = find_rs(series, h, meta.group_order)
     return KostantSuite(name=meta.name, series=series, rs=(r, s),
                         polys=polys, rs_report=rs_report)
